@@ -7,6 +7,7 @@ import pytest
 from repro.substrates.milchtaich import (
     canonical_counterexample,
     multiplicative_pne_sweep,
+    search_no_pne_instance,
 )
 
 
@@ -15,6 +16,16 @@ def test_witness_verification(benchmark):
     game = canonical_counterexample().game
     exists = benchmark(lambda: game.exists_pure_nash())
     assert not exists
+
+
+def test_constraint_search(benchmark):
+    """Re-deriving a no-PNE witness: five restarts cut by their node
+    budget, then a 28-node success on the sixth."""
+    report = benchmark.pedantic(
+        lambda: search_no_pne_instance(seed=2), rounds=3, iterations=1
+    )
+    assert report.tries == 6
+    assert report.verify()
 
 
 def test_multiplicative_sweep(benchmark, report):

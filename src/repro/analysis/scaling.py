@@ -13,7 +13,8 @@ is "measured exponent <= stated exponent + tolerance".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import partial
+from typing import Sequence
 
 from repro.equilibria.symmetric import asymmetric
 from repro.equilibria.two_links import atwolinks
@@ -55,26 +56,17 @@ class ScalingObservation:
         return self.exponent <= THEORETICAL_EXPONENTS[self.algorithm] + slack
 
 
-def _solver_for(algorithm: str, num_links: int) -> Callable[[int, int], object]:
-    if algorithm == "atwolinks":
-        return lambda n, rep: atwolinks(
-            random_two_link_game(
-                n, with_initial_traffic=True, seed=stable_seed("scal", algorithm, n, rep)
-            )
-        )
-    if algorithm == "asymmetric":
-        return lambda n, rep: asymmetric(
-            random_symmetric_game(
-                n, num_links, seed=stable_seed("scal", algorithm, n, rep)
-            )
-        )
-    if algorithm == "auniform":
-        return lambda n, rep: auniform(
-            random_uniform_beliefs_game(
-                n, num_links, seed=stable_seed("scal", algorithm, n, rep)
-            )
-        )
-    raise KeyError(f"unknown algorithm {algorithm!r}")
+#: Per algorithm: (generator of an ``n``-user game on ``m`` links, solver).
+_INSTANCES = {
+    "atwolinks": (
+        lambda n, m, seed: random_two_link_game(
+            n, with_initial_traffic=True, seed=seed
+        ),
+        atwolinks,
+    ),
+    "asymmetric": (random_symmetric_game, asymmetric),
+    "auniform": (random_uniform_beliefs_game, auniform),
+}
 
 
 def measure_scaling(
@@ -84,13 +76,18 @@ def measure_scaling(
     num_links: int = 4,
     repeats: int = 3,
 ) -> ScalingObservation:
-    """Time *algorithm* across *sizes* users and fit a power law."""
+    """Time *algorithm* across *sizes* users and fit a power law.
+
+    Each size's game is generated once, outside the timed calls, so the
+    fit measures the solver alone; only one game is alive at a time.
+    """
     sizes = list(sizes) if sizes is not None else scaling_sizes(algorithm)
-    solver = _solver_for(algorithm, num_links)
+    generate, solver = _INSTANCES[algorithm]
     seconds = []
     for n in sizes:
-        best = time_callable(lambda: solver(n, 0), repeats=repeats)
-        seconds.append(best)
+        game = generate(n, num_links, seed=stable_seed("scal", algorithm, n, 0))
+        seconds.append(time_callable(partial(solver, game), repeats=repeats))
+        del game
     fit = fit_power_law(sizes, seconds)
     return ScalingObservation(
         algorithm=algorithm,

@@ -16,7 +16,9 @@ chains this forms a partial order that is consistent iff no cycle
 contains a strict edge. A satisfying selection was found for weights
 ``(1, 2, 3)`` and its longest-path labelling gives the integer tables of
 :data:`WITNESS_TABLES` — verified to admit **no** pure Nash equilibrium
-over all 27 profiles.
+over all 27 profiles. The search keeps reachability as an incremental
+bitset transitive closure and budgets its restarts in backtracking
+nodes, never in seconds, so a re-derivation is identical on every host.
 
 For the contrast, :func:`multiplicative_pne_sweep` draws cost tables of
 the paper's restricted form ``load / c^l_i`` and confirms every sampled
@@ -25,14 +27,12 @@ instance has a pure NE.
 
 from __future__ import annotations
 
-import time
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from repro.errors import SolverError
+from repro.errors import ModelError, SolverError
 from repro.model.social import enumerate_assignments
 from repro.substrates.player_specific import PlayerSpecificGame
 from repro.util.rng import RandomState, as_generator, spawn_generators
@@ -102,8 +102,8 @@ def search_no_pne_instance(
     *,
     weights: tuple[int, ...] = WITNESS_WEIGHTS,
     num_links: int = 3,
-    time_budget: float = 60.0,
-    restart_budget: float = 10.0,
+    max_restarts: int = 25,
+    restart_nodes: int = 4096,
     seed: RandomState = 0,
 ) -> CounterexampleReport:
     """Exact backtracking search for a no-PNE player-specific game.
@@ -111,23 +111,24 @@ def search_no_pne_instance(
     Chooses one strictly-improving deviation per pure profile and checks
     the induced strict partial order on cost-table entries for
     consistency (a strict edge ``a < b`` is infeasible iff a path
-    ``b -> a`` already exists). Randomised restarts reshuffle profile and
-    option orders. Returns the first consistent selection, materialised
-    into integer cost tables by longest-path levelling and *verified*
-    against all profiles.
+    ``b -> a`` already exists). Up to *max_restarts* randomised restarts
+    reshuffle profile and option orders, each visiting at most
+    *restart_nodes* backtracking nodes: the budgets count work, not
+    seconds, so the result is the same on every host. Returns the first
+    consistent selection, materialised into integer cost tables by
+    longest-path levelling and *verified* against all profiles.
 
-    Raises :class:`~repro.errors.SolverError` when the budget runs out —
-    use :func:`canonical_counterexample` for a guaranteed witness.
+    Raises :class:`~repro.errors.ModelError` for a budget below 1 and
+    :class:`~repro.errors.SolverError` when the budget runs out — use
+    :func:`canonical_counterexample` for a guaranteed witness.
     """
+    if max_restarts < 1 or restart_nodes < 1:
+        raise ModelError("max_restarts and restart_nodes must be >= 1")
     rng = as_generator(seed)
     w = np.asarray(weights, dtype=np.int64)
-    deadline = time.monotonic() + time_budget
-    tries = 0
-    while time.monotonic() < deadline:
-        tries += 1
+    for tries in range(1, max_restarts + 1):
         restart_seed = int(rng.integers(2**62))
-        remaining = min(restart_budget, deadline - time.monotonic())
-        chosen = _search_selection(w, num_links, restart_seed, remaining)
+        chosen, _ = _search_selection(w, num_links, restart_seed, restart_nodes)
         if chosen is None:
             continue
         tables = _tables_from_selection(w, num_links, chosen)
@@ -136,8 +137,9 @@ def search_no_pne_instance(
             seed_tag = seed if isinstance(seed, int) else -1
             return CounterexampleReport(game=game, tries=tries, seed=seed_tag)
     raise SolverError(
-        f"no counterexample found within {time_budget:.0f}s for weights "
-        f"{tuple(int(x) for x in w)} — use canonical_counterexample()"
+        f"no counterexample found within {max_restarts} restarts of "
+        f"{restart_nodes} nodes for weights {tuple(int(x) for x in w)} "
+        "— use canonical_counterexample()"
     )
 
 
@@ -159,11 +161,23 @@ def _profile_options(w: np.ndarray, m: int) -> list[list[tuple[tuple, tuple]]]:
     return profiles
 
 
+class _NodeBudgetExhausted(Exception):
+    """A restart used up its node budget."""
+
+
 def _search_selection(
-    w: np.ndarray, m: int, seed: int, time_budget: float
-) -> list[tuple[tuple, tuple]] | None:
-    """One randomized backtracking run; None on timeout/exhaustion."""
-    n = w.size
+    w: np.ndarray, m: int, seed: int, max_nodes: int
+) -> tuple[list[tuple[tuple, tuple]] | None, int]:
+    """One randomized backtracking run and the number of nodes it visited.
+
+    The selection is None when the run exhausts its tree or its budget of
+    *max_nodes* nodes. Reachability between the ``(user, link, load)``
+    cost entries is an incremental transitive closure: ``reach[u]`` is
+    the Python-int bitmask of the entries reachable from ``u``
+    (reflexive), and inserting ``a -> b`` ORs ``reach[b]`` into every
+    ``reach[x]`` containing ``a``. Each level keeps its own closure, so
+    backtracking restores nothing and every query is one bit test.
+    """
     total = int(w.sum())
     rng = np.random.default_rng(seed)
     profiles = _profile_options(w, m)
@@ -172,60 +186,49 @@ def _search_selection(
     for opts in profiles:
         rng.shuffle(opts)
 
-    succ: dict[tuple, set] = defaultdict(set)
-    refcount: dict[tuple, int] = defaultdict(int)
-    for i in range(n):
-        for link in range(m):
-            for load in range(1, total):
-                succ[(i, link, load)].add((i, link, load + 1))
-                refcount[((i, link, load), (i, link, load + 1))] += 1
+    def index(node: tuple) -> int:
+        i, link, load = node
+        return (i * m + link) * total + load - 1
 
-    def reachable(src: tuple, dst: tuple) -> bool:
-        if src == dst:
-            return True
-        stack, seen = [src], {src}
-        while stack:
-            node = stack.pop()
-            for nxt in succ[node]:
-                if nxt == dst:
-                    return True
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append(nxt)
-        return False
-
+    # Per option ``a < b``: the pair, the bit of ``a`` and the index of ``b``.
+    options = [[(p, 1 << index(p[0]), index(p[1])) for p in opts] for opts in profiles]
+    # Monotonicity chains: (i, link, load) reaches every higher load.
+    reach = [
+        ((1 << total) - (1 << (load - 1))) << ((i * m + link) * total)
+        for i in range(w.size)
+        for link in range(m)
+        for load in range(1, total + 1)
+    ]
     chosen: list = [None] * len(profiles)
-    t0 = time.monotonic()
+    nodes = 0
 
-    def forward_ok(k: int) -> bool:
+    def forward_ok(k: int, reach: list[int]) -> bool:
         return all(
-            any(not reachable(b, a) for a, b in profiles[j])
-            for j in range(k, len(profiles))
+            any(not reach[bi] & abit for _, abit, bi in options[j])
+            for j in range(k, len(options))
         )
 
-    def backtrack(k: int) -> bool:
-        if time.monotonic() - t0 > time_budget:
-            raise TimeoutError
-        if k == len(profiles):
+    def backtrack(k: int, reach: list[int]) -> bool:
+        nonlocal nodes
+        if nodes == max_nodes:
+            raise _NodeBudgetExhausted
+        nodes += 1
+        if k == len(options):
             return True
-        for a, b in profiles[k]:
-            if reachable(b, a):
+        for pair, abit, bi in options[k]:
+            rb = reach[bi]
+            if rb & abit:
                 continue
-            refcount[(a, b)] += 1
-            succ[a].add(b)
-            chosen[k] = (a, b)
-            if forward_ok(k + 1) and backtrack(k + 1):
+            grown = [rx | rb if rx & abit else rx for rx in reach]
+            chosen[k] = pair
+            if forward_ok(k + 1, grown) and backtrack(k + 1, grown):
                 return True
-            refcount[(a, b)] -= 1
-            if refcount[(a, b)] == 0:
-                succ[a].discard(b)
-            chosen[k] = None
         return False
 
     try:
-        return list(chosen) if backtrack(0) else None
-    except TimeoutError:
-        return None
+        return (list(chosen) if backtrack(0, reach) else None), nodes
+    except _NodeBudgetExhausted:
+        return None, nodes
 
 
 def _tables_from_selection(

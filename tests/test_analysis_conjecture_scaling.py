@@ -172,6 +172,29 @@ class TestScaling:
         with pytest.raises(KeyError):
             measure_scaling("quantum")
 
+    def test_generates_each_size_once_outside_the_timed_calls(self, monkeypatch):
+        """Repeats time the solver only; the game is generated once per size."""
+        from repro.analysis import scaling
+
+        generate, solve = scaling._INSTANCES["auniform"]
+        generated, solved = [], []
+
+        def counting_generate(n, m, *, seed):
+            generated.append(n)
+            return generate(n, m, seed=seed)
+
+        def counting_solve(game):
+            solved.append(game)
+            return solve(game)
+
+        monkeypatch.setitem(
+            scaling._INSTANCES, "auniform", (counting_generate, counting_solve)
+        )
+        measure_scaling("auniform", sizes=[8, 16, 32], repeats=3)
+        assert generated == [8, 16, 32]
+        assert len(solved) == 9
+        assert solved[0] is solved[2] and solved[3] is solved[5]
+
 
 class TestCycleMachinery:
     def test_abstract_move_graph_shape(self):
