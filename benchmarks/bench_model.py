@@ -1,8 +1,9 @@
 """Kernel benchmarks for the model layer (the hot paths of everything).
 
 These quantify the vectorisation choices of DESIGN.md section 5:
-effective-capacity reduction (one matmul), deviation-latency tensors,
-and the all-profiles latency sweep behind exhaustive optimum/enumeration.
+effective-capacity reduction (one matmul), reduced-form game
+construction, deviation-latency tensors, and the all-profiles latency
+sweep behind exhaustive optimum/enumeration.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.model.beliefs import BeliefProfile
+from repro.model.game import UncertainRoutingGame
 from repro.model.latency import deviation_latencies, mixed_latency_matrix, pure_latencies
 from repro.model.social import all_pure_costs
 from repro.model.state import StateSpace
@@ -24,6 +26,16 @@ def test_effective_capacity_reduction(benchmark, n, states):
     profile = BeliefProfile.random(space, n, seed=stable_seed("bench-m2", n))
     caps = benchmark(lambda: profile.effective_capacities())
     assert caps.shape == (n, 8)
+
+
+def test_from_capacities_reduced_form(benchmark):
+    """A reduced-form game at n = 8192: O(n m), no n x n belief matrix."""
+    n, m = 8192, 4
+    rng = np.random.default_rng(stable_seed("bench-m7", n))
+    caps = rng.uniform(0.5, 4.0, size=(n, m))
+    weights = rng.uniform(0.5, 2.0, size=n)
+    game = benchmark(lambda: UncertainRoutingGame.from_capacities(weights, caps))
+    assert game.capacities.shape == (n, m)
 
 
 @pytest.mark.parametrize("n", [100, 2000])

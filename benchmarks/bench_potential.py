@@ -49,3 +49,21 @@ def test_e6_cycle_search(benchmark, report):
         "tested, none realisable (length <= 4; see EXPERIMENTS.md for the "
         "exhaustive length-6 run)"
     )
+
+
+def test_e6_cycle_search_full(benchmark, report):
+    """The full-mode E6 search: every simple cycle of length <= 6 on
+    (n=3, m=3) against 12 weight draws, decided in batched blocks."""
+    result = benchmark.pedantic(
+        lambda: search_improvement_cycle_instance(
+            max_cycle_length=6, weight_draws=12, seed=0
+        ),
+        rounds=3,
+        iterations=1,
+    )
+    assert result.cycles_tested == 2889
+    assert not result.found
+    report.append(
+        f"[E6] full improvement-cycle search: {result.cycles_tested} shapes "
+        "x 12 weight draws, none realisable (length <= 6)"
+    )

@@ -17,7 +17,8 @@ Summing a user's constraints around each loop of its own moves makes the
 capacity terms telescope away, so the cycle is realisable by *some*
 capacity matrix iff every such loop has negative total log-load-ratio —
 checked exactly by :func:`realize_cycle`, which also reconstructs a
-witness capacity matrix by longest-path labelling when feasible.
+witness capacity matrix by longest-path labelling when feasible. The
+search decides it for blocks of (cycle, weight draw) pairs with arrays.
 
 Two structural facts the library establishes with this machinery:
 
@@ -51,6 +52,10 @@ __all__ = [
     "response_cycle_census",
     "search_improvement_cycle_instance",
 ]
+
+#: Cycles per batched feasibility block: bounds the ``(C, D, n, m, m)``
+#: max-plus tensor whatever ``max_cycles`` is.
+_CYCLE_CHUNK = 512
 
 
 def response_cycle_census(
@@ -155,6 +160,42 @@ def realize_cycle(
     return caps
 
 
+def _user_loops_negative(
+    cycles: Sequence[Sequence[tuple[int, ...]]],
+    draws: np.ndarray,
+    num_links: int,
+) -> np.ndarray:
+    """:func:`realize_cycle`'s loop criterion per (cycle, draw, user).
+
+    *cycles* are closed unilateral walks, *draws* a ``(D, n)`` weight
+    stack. Returns ``(C, D, n)`` bools, ``True`` where all of the user's
+    loops are strictly negative; the float operations are
+    :func:`realize_cycle`'s, so a pair is realisable iff its row is all
+    ``True``.
+    """
+    num_draws, n = draws.shape
+    src = np.array([s for cyc in cycles for s in cyc[:-1]], dtype=np.intp)
+    dst = np.array([s for cyc in cycles for s in cyc[1:]], dtype=np.intp)
+    owner = np.repeat(np.arange(len(cycles)), [len(cyc) - 1 for cyc in cycles])
+    steps = np.arange(src.shape[0])
+    user = np.argmax(src != dst, axis=1)
+    a, b = src[steps, user], dst[steps, user]
+    # (S, D, m) origin-state loads, users added in index order as
+    # np.bincount does (the other terms are exact zeros).
+    links = np.arange(num_links)
+    loads = np.zeros((steps.size, num_draws, num_links))
+    for k in range(n):
+        loads += draws[None, :, k, None] * (src[:, None, k, None] == links)
+    mover = draws[:, user].T
+    gap = np.log((loads[steps, :, b] + mover) / loads[steps, :, a])
+    dist = np.full((len(cycles), num_draws, n, num_links, num_links), -np.inf)
+    at = (owner[:, None], np.arange(num_draws), user[:, None], a[:, None], b[:, None])
+    np.maximum.at(dist, at, gap)
+    for k in range(num_links):
+        dist = np.maximum(dist, dist[..., :, k : k + 1] + dist[..., k : k + 1, :])
+    return ~np.any(np.diagonal(dist, axis1=-2, axis2=-1) >= -1e-12, axis=-1)
+
+
 @dataclass(frozen=True)
 class CycleSearchResult:
     """Outcome of an improvement-cycle search."""
@@ -176,26 +217,28 @@ def search_improvement_cycle_instance(
 ) -> CycleSearchResult:
     """Exhaustively test short move cycles for realisability.
 
-    Enumerates simple cycles of the abstract move graph up to
-    *max_cycle_length* and tries to realise each with *weight_draws*
-    sampled weight vectors (equal weights are skipped — provably
-    unrealisable). Returns the first realised instance, verified against
-    the actual better-response graph.
+    Enumerates at most *max_cycles* simple cycles of the abstract move
+    graph up to *max_cycle_length* and tries to realise each with
+    *weight_draws* weight vectors drawn uniformly from ``[0.2, 5.0]``.
+    Returns the first realised instance in (cycle, draw) order, verified
+    against the actual better-response graph; ``cycles_tested`` counts
+    the cycles tested, that one included.
     """
     rng = as_generator(seed)
-    draws = [rng.uniform(0.2, 5.0, size=num_users) for _ in range(weight_draws)]
-    graph = abstract_move_graph(num_users, num_links)
+    draws = rng.uniform(0.2, 5.0, size=(weight_draws, num_users))
+    cycles = nx.simple_cycles(
+        abstract_move_graph(num_users, num_links), length_bound=max_cycle_length
+    )
     tested = 0
-    for cyc in nx.simple_cycles(graph, length_bound=max_cycle_length):
-        tested += 1
-        if tested > max_cycles:
+    while tested < max_cycles:
+        size = min(_CYCLE_CHUNK, max_cycles - tested)
+        block = [cyc + [cyc[0]] for cyc in itertools.islice(cycles, size)]
+        if not block:
             break
-        states = list(cyc) + [cyc[0]]
-        for w in draws:
-            caps = realize_cycle(states, w, num_links)
-            if caps is None:
-                continue
-            game = UncertainRoutingGame.from_capacities(w, caps)
+        feasible = _user_loops_negative(block, draws, num_links).all(axis=2)
+        for c, d in np.argwhere(feasible).tolist():
+            caps = realize_cycle(block[c], draws[d], num_links)
+            game = UncertainRoutingGame.from_capacities(draws[d], caps)
             # The batched census decides cycle existence without building
             # a graph; the (rare) hit then materialises the graph once to
             # extract an explicit witness walk.
@@ -204,6 +247,7 @@ def search_improvement_cycle_instance(
             witness = find_response_cycle(better_response_graph(game))
             if witness is not None:  # pragma: no branch - census said so
                 return CycleSearchResult(
-                    found=True, cycles_tested=tested, game=game, cycle=witness
+                    found=True, cycles_tested=tested + c + 1, game=game, cycle=witness
                 )
+        tested += len(block)
     return CycleSearchResult(found=False, cycles_tested=tested)

@@ -329,10 +329,9 @@ class GameBatch:
             if with_initial_traffic:
                 traffic[k] = rng.uniform(0.0, 2.0, size=num_links)
         caps = np.repeat(per_user[:, :, None], num_links, axis=2)
-        # The generator routes its capacity matrix through
-        # ``UncertainRoutingGame.from_capacities``, whose point-mass
-        # belief realisation reduces back to ``1 / (1 / c)`` — not an
-        # identity in floating point. Replay it for bit parity.
+        # ``UncertainRoutingGame.from_capacities`` (the generator's route)
+        # stores its point-mass realisation's reduced form ``1 / (1 / c)``
+        # — not an identity in floating point. Replay it for bit parity.
         caps = 1.0 / (1.0 / caps)
         return cls(
             weights,

@@ -10,8 +10,9 @@ equilibrium computation in the library is expressed.
 Any strictly positive ``(n, m)`` matrix is realisable as the reduced form
 of some belief game: give the state space one state per user holding that
 user's row, and let each user be certain of "their" state. This is what
-:meth:`UncertainRoutingGame.from_capacities` does, so the reduced form and
-the belief form are interchangeable.
+:meth:`UncertainRoutingGame.from_capacities` describes (building that
+``n x n`` profile only when :attr:`~UncertainRoutingGame.beliefs` is
+read), so the reduced form and the belief form are interchangeable.
 """
 
 from __future__ import annotations
@@ -61,7 +62,15 @@ class UncertainRoutingGame:
             raise DimensionError(
                 f"{w.size} weights but belief profile covers {beliefs.num_users} users"
             )
-        m = beliefs.states.num_links
+        self._set(w, beliefs, beliefs.effective_capacities(), initial_traffic)
+
+    def _set(self, w, beliefs, capacities, initial_traffic) -> None:
+        """Check ``m`` and the initial traffic, then store the frozen fields.
+
+        *beliefs* is the profile or, for a reduced-form game, the validated
+        ``(n, m)`` state matrix that :attr:`beliefs` realises on first read.
+        """
+        m = capacities.shape[1]
         if m < 2:
             raise ModelError(f"the model requires m > 1 links, got m={m}")
         if initial_traffic is None:
@@ -76,7 +85,7 @@ class UncertainRoutingGame:
                 raise ModelError("initial_traffic must be finite and non-negative")
         self._weights = w
         self._beliefs = beliefs
-        self._capacities = np.ascontiguousarray(beliefs.effective_capacities())
+        self._capacities = np.ascontiguousarray(capacities)
         self._initial_traffic = t
         for arr in (self._weights, self._capacities, self._initial_traffic):
             arr.setflags(write=False)
@@ -98,6 +107,9 @@ class UncertainRoutingGame:
         ``capacities`` is the ``(n, m)`` effective-capacity matrix
         ``C[i, l]``. The canonical realisation uses one state per user:
         state ``i`` carries row ``i`` and user ``i`` is certain of it.
+        That profile reduces to ``1 / (1 / C)`` (the identity matmul adds
+        only exact zeros), so the game stores exactly that in O(n m) and
+        builds the ``n x n`` profile only when :attr:`beliefs` is read.
         """
         c = check_positive_array(capacities, name="capacities", ndim=2)
         w = check_positive_array(weights, name="weights", ndim=1)
@@ -105,12 +117,11 @@ class UncertainRoutingGame:
             raise DimensionError(
                 f"capacity matrix has {c.shape[0]} rows for {w.size} users"
             )
-        states = StateSpace(c, names=tuple(f"user{i}-view" for i in range(c.shape[0])))
-        profile = BeliefProfile(
-            states,
-            [point_mass_belief(c.shape[0], i) for i in range(c.shape[0])],
-        )
-        return cls(w, profile, initial_traffic=initial_traffic)
+        if w.size < 2:
+            raise ModelError(f"the model requires n > 1 users, got n={w.size}")
+        game = cls.__new__(cls)
+        game._set(w, c, 1.0 / (1.0 / c), initial_traffic)
+        return game
 
     @classmethod
     def kp(
@@ -152,7 +163,15 @@ class UncertainRoutingGame:
 
     @property
     def beliefs(self) -> BeliefProfile:
-        """The belief profile ``B``."""
+        """The belief profile ``B`` (built on first read for a reduced-form
+        game: one state per user, each user certain of its own)."""
+        if not isinstance(self._beliefs, BeliefProfile):
+            c = self._beliefs
+            n = c.shape[0]
+            states = StateSpace(c, names=tuple(f"user{i}-view" for i in range(n)))
+            self._beliefs = BeliefProfile(
+                states, [point_mass_belief(n, i) for i in range(n)]
+            )
         return self._beliefs
 
     @property
@@ -171,11 +190,11 @@ class UncertainRoutingGame:
 
     def is_kp(self, *, atol: float = 1e-12) -> bool:
         """True when all users share a single point-mass belief."""
-        return self._beliefs.is_kp(atol=atol)
+        return self.beliefs.is_kp(atol=atol)
 
     def has_common_beliefs(self, *, atol: float = 1e-12) -> bool:
         """True when all users hold the same belief distribution."""
-        return self._beliefs.is_common(atol=atol)
+        return self.beliefs.is_common(atol=atol)
 
     def has_uniform_beliefs(self, *, rtol: float = 1e-9) -> bool:
         """True under the paper's *uniform user beliefs* model: each user
@@ -196,10 +215,11 @@ class UncertainRoutingGame:
     def with_initial_traffic(
         self, initial_traffic: Sequence[float] | np.ndarray
     ) -> "UncertainRoutingGame":
-        """A copy of this game with a different initial traffic vector."""
-        return UncertainRoutingGame(
-            self._weights, self._beliefs, initial_traffic=initial_traffic
-        )
+        """A copy of this game with a different initial traffic vector
+        (a reduced-form game keeps its stored capacities and stays lazy)."""
+        game = UncertainRoutingGame.__new__(UncertainRoutingGame)
+        game._set(self._weights, self._beliefs, self._capacities, initial_traffic)
+        return game
 
     def subgame(self, users: Sequence[int]) -> "UncertainRoutingGame":
         """The restriction of this game to the given users (order kept).
@@ -209,9 +229,9 @@ class UncertainRoutingGame:
         idx = np.asarray(users, dtype=np.intp)
         if idx.size < 2:
             raise ModelError("a subgame still needs at least two users")
+        profile = self.beliefs
         beliefs = BeliefProfile(
-            self._beliefs.states,
-            [Belief(self._beliefs.matrix[i]) for i in idx],
+            profile.states, [Belief(profile.matrix[i]) for i in idx]
         )
         return UncertainRoutingGame(
             self._weights[idx], beliefs, initial_traffic=self._initial_traffic

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import networkx as nx
+import numpy as np
 import pytest
 
 from repro.analysis.conjecture import (
@@ -11,6 +13,7 @@ from repro.analysis.conjecture import (
 )
 from repro.analysis.scaling import THEORETICAL_EXPONENTS, measure_scaling
 from repro.analysis.cycles import (
+    _user_loops_negative,
     abstract_move_graph,
     realize_cycle,
     search_improvement_cycle_instance,
@@ -221,6 +224,70 @@ class TestCycleMachinery:
         result = search_improvement_cycle_instance(
             max_cycle_length=4, weight_draws=3, max_cycles=200, seed=0
         )
-        assert result.cycles_tested > 0
+        assert result.cycles_tested == 200
         # Length-4 cycles are provably unrealisable.
         assert not result.found
+
+    def test_full_e6_configuration(self):
+        result = search_improvement_cycle_instance(
+            max_cycle_length=6, weight_draws=12
+        )
+        assert not result.found
+        assert result.cycles_tested == 2889
+
+
+def _per_user_loops_negative(states, w, num_links):
+    """Oracle: :func:`realize_cycle`'s loop criterion, one user at a time."""
+    n = len(w)
+    verdicts = np.ones(n, dtype=bool)
+    for i in range(n):
+        weight = np.full((num_links, num_links), -np.inf)
+        for s, t in zip(states, states[1:]):
+            if s[i] == t[i]:
+                continue
+            loads = np.bincount(s, weights=w, minlength=num_links)
+            a, b = s[i], t[i]
+            gap = float(np.log((loads[b] + w[i]) / loads[a]))
+            weight[a, b] = max(weight[a, b], gap)
+        for k in range(num_links):
+            weight = np.maximum(weight, weight[:, k : k + 1] + weight[k : k + 1, :])
+        verdicts[i] = not np.any(np.diag(weight) >= -1e-12)
+    return verdicts
+
+
+class TestBatchedCycleCheck:
+    """The search's batched feasibility block against per-pair loops."""
+
+    # Length-8 walks repeat a user's move, so the scatter-max matters.
+    @pytest.mark.parametrize(
+        "num_users,num_links,length,draws,seeds",
+        [
+            (3, 3, 6, 2, (0,)),
+            (2, 3, 8, 3, (0, 1, 2)),
+            (3, 2, 8, 4, (0, 1, 2)),
+            (4, 2, 6, 3, (0, 1)),
+        ],
+    )
+    def test_matches_realize_cycle(self, num_users, num_links, length, draws, seeds):
+        cycles = [
+            cyc + [cyc[0]]
+            for cyc in nx.simple_cycles(
+                abstract_move_graph(num_users, num_links), length_bound=length
+            )
+        ]
+        per_user_seen = []
+        for seed in seeds:
+            weights = np.random.default_rng(seed).uniform(
+                0.2, 5.0, size=(draws, num_users)
+            )
+            batched = _user_loops_negative(cycles, weights, num_links)
+            assert batched.shape == (len(cycles), draws, num_users)
+            for c, states in enumerate(cycles):
+                for d, w in enumerate(weights):
+                    per_user = _per_user_loops_negative(states, w, num_links)
+                    np.testing.assert_array_equal(batched[c, d], per_user)
+                    realised = realize_cycle(states, w, num_links) is not None
+                    assert batched[c, d].all() == realised == per_user.all()
+            per_user_seen.append(batched.mean())
+        # Both per-user outcomes occur, so the comparison is not vacuous.
+        assert 0.0 < min(per_user_seen) and max(per_user_seen) < 1.0

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.errors import DimensionError, ModelError
 from repro.model.beliefs import Belief, BeliefProfile, point_mass_belief
 from repro.model.game import UncertainRoutingGame
 from repro.model.state import StateSpace
+from repro.util.validation import check_positive_array
 
 
 class TestConstruction:
@@ -152,3 +159,132 @@ class TestRepr:
     def test_plain(self, three_user_game):
         text = repr(three_user_game)
         assert "n=3" in text and "m=3" in text
+
+
+def _eager_from_capacities(weights, capacities, *, initial_traffic=None):
+    """Oracle: the point-mass profile realised up front, one state per user."""
+    c = check_positive_array(capacities, name="capacities", ndim=2)
+    w = check_positive_array(weights, name="weights", ndim=1)
+    if c.shape[0] != w.size:
+        raise DimensionError(
+            f"capacity matrix has {c.shape[0]} rows for {w.size} users"
+        )
+    n = c.shape[0]
+    states = StateSpace(c, names=tuple(f"user{i}-view" for i in range(n)))
+    profile = BeliefProfile(states, [point_mass_belief(n, i) for i in range(n)])
+    return UncertainRoutingGame(w, profile, initial_traffic=initial_traffic)
+
+
+_magnitudes = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def _reduced_forms(draw):
+    n = draw(st.integers(2, 6))
+    m = draw(st.integers(2, 4))
+    caps = draw(arrays(np.float64, (n, m), elements=_magnitudes))
+    weights = draw(arrays(np.float64, (n,), elements=_magnitudes))
+    traffic = draw(
+        st.none() | arrays(np.float64, (m,), elements=st.floats(0.0, 10.0))
+    )
+    return weights, caps, traffic
+
+
+def _assert_same_game(game, oracle):
+    assert game.capacities.tobytes() == oracle.capacities.tobytes()
+    assert game.weights.tobytes() == oracle.weights.tobytes()
+    assert game.initial_traffic.tobytes() == oracle.initial_traffic.tobytes()
+    assert repr(game) == repr(oracle)
+    assert game.is_kp() == oracle.is_kp()
+    assert game.has_common_beliefs() == oracle.has_common_beliefs()
+    np.testing.assert_array_equal(game.beliefs.matrix, oracle.beliefs.matrix)
+    np.testing.assert_array_equal(
+        game.beliefs.states.capacities, oracle.beliefs.states.capacities
+    )
+    assert game.beliefs.states.names == oracle.beliefs.states.names
+
+
+class TestLazyReducedForm:
+    """``from_capacities`` stores ``1 / (1 / C)`` and builds the point-mass
+    profile on first read; every answer matches the eager realisation."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_reduced_forms())
+    def test_matches_eager_realisation(self, form):
+        weights, caps, traffic = form
+        game = UncertainRoutingGame.from_capacities(
+            weights, caps, initial_traffic=traffic
+        )
+        oracle = _eager_from_capacities(weights, caps, initial_traffic=traffic)
+        # Read the capacities before the lazy profile exists.
+        assert game.capacities.tobytes() == oracle.capacities.tobytes()
+        _assert_same_game(game, oracle)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_reduced_forms(), st.data())
+    def test_transformations_match_eager(self, form, data):
+        weights, caps, _ = form
+        n, m = caps.shape
+        game = UncertainRoutingGame.from_capacities(weights, caps)
+        oracle = _eager_from_capacities(weights, caps)
+        users = data.draw(
+            st.lists(st.integers(0, n - 1), min_size=2, max_size=n, unique=True)
+        )
+        _assert_same_game(game.subgame(users), oracle.subgame(users))
+        traffic = data.draw(arrays(np.float64, (m,), elements=st.floats(0.0, 10.0)))
+        shifted = game.with_initial_traffic(traffic)
+        assert shifted.capacities is game.capacities
+        _assert_same_game(shifted, oracle.with_initial_traffic(traffic))
+
+    @pytest.mark.parametrize(
+        "weights,caps,traffic,error",
+        [
+            ([1.0, 2.0, 3.0], [[1.0, 2.0], [3.0, 4.0]], None, DimensionError),
+            ([1.0], [[1.0, 2.0]], None, ModelError),
+            ([1.0, 1.0], [[1.0], [2.0]], None, ModelError),
+            ([1.0, 1.0], [[1.0, 0.0], [2.0, 1.0]], None, ModelError),
+            ([1.0, -1.0], [[1.0, 2.0], [2.0, 1.0]], None, ModelError),
+            ([1.0, 1.0], [1.0, 2.0], None, DimensionError),
+            ([1.0, 1.0], [[1.0, 2.0], [2.0, 1.0]], [1.0], DimensionError),
+            ([1.0, 1.0], [[1.0, 2.0], [2.0, 1.0]], [-1.0, 0.0], ModelError),
+        ],
+    )
+    def test_validation_matches_eager(self, weights, caps, traffic, error):
+        with pytest.raises(error) as eager:
+            _eager_from_capacities(weights, caps, initial_traffic=traffic)
+        with pytest.raises(error) as lazy:
+            UncertainRoutingGame.from_capacities(
+                weights, caps, initial_traffic=traffic
+            )
+        assert str(lazy.value) == str(eager.value)
+
+    @pytest.mark.parametrize("realise", [False, True])
+    def test_pickle_roundtrip(self, realise):
+        caps = np.array([[1.0, 2.0, 0.3], [3.0, 4.0, 5.0], [0.7, 0.9, 1.1]])
+        game = UncertainRoutingGame.from_capacities(
+            [1.0, 2.0, 0.5], caps, initial_traffic=[0.0, 1.0, 0.5]
+        )
+        if realise:
+            game.beliefs
+        clone = pickle.loads(pickle.dumps(game))
+        _assert_same_game(
+            clone,
+            _eager_from_capacities(
+                [1.0, 2.0, 0.5], caps, initial_traffic=[0.0, 1.0, 0.5]
+            ),
+        )
+
+    def test_large_game_allocates_only_its_reduced_form(self):
+        n, m = 8192, 4
+        caps = np.random.default_rng(0).uniform(0.5, 4.0, size=(n, m))
+        weights = np.ones(n)
+        tracemalloc.start()
+        try:
+            game = UncertainRoutingGame.from_capacities(weights, caps)
+            game.with_initial_traffic(np.ones(m))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The eager n x n realisation needed about 1 GB here.
+        assert peak < 8 * 2**20
+        assert game.num_users == n
