@@ -28,20 +28,11 @@ The subsystem behind the library's instance-parallel workloads:
   :mod:`repro.equilibria.potential` and the census half of
   :mod:`repro.analysis.cycles` are their ``B = 1`` views;
 * :mod:`repro.batch.generator`   — one-pass vectorised instance drawing;
-* :mod:`repro.batch.backend`     — the pluggable array-namespace seam
-  every kernel above draws its ops from (NumPy reference, Numba JIT,
-  optional GPU stubs).
+* :mod:`repro.batch.backend`     — backend selection: the fused-hook
+  table the kernels above consult (NumPy reference, Numba JIT).
 """
 
-from repro.batch.backend import (
-    ArrayBackend,
-    available_backends,
-    backend_names,
-    get_backend,
-    register_backend,
-    set_backend,
-    use_backend,
-)
+from repro.batch.backend import available_backends, set_backend, use_backend
 from repro.batch.container import GameBatch
 from repro.batch.dynamics import (
     BatchDynamicsResult,
@@ -103,11 +94,7 @@ from repro.batch.poa import (
 )
 
 __all__ = [
-    "ArrayBackend",
     "available_backends",
-    "backend_names",
-    "get_backend",
-    "register_backend",
     "set_backend",
     "use_backend",
     "GameBatch",

@@ -21,10 +21,12 @@ certified by tolerance-based differential tests instead of byte
 identity, as their NumPy counterparts already reduce in a different
 order than the sequential code.
 
+The public wrappers below normalise dtypes and layouts before entering
+the compiled loops; :data:`NUMBA_HOOKS` is the backend's hook table.
 This module imports :mod:`numba` at module level; it is only reachable
-through :func:`repro.batch.backend._numba_factory`, which translates the
-ImportError into a :class:`~repro.errors.BackendError` naming the
-``repro[jit]`` extra.
+through :mod:`repro.batch.backend`, which translates the ImportError
+into a :class:`~repro.errors.BackendError` naming the ``repro[jit]``
+extra.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from __future__ import annotations
 import numpy as np
 from numba import njit, prange
 
-from repro.batch.backend import ArrayBackend
+from repro.batch.backend import FusedHooks
 
-__all__ = ["NumbaBackend"]
+__all__ = ["NUMBA_HOOKS"]
 
 #: Fibonacci-hash multiplier (0x9E3779B97F4A7C15 as signed int64) for the
 #: open-addressing profile-code set in the dynamics cycle detector.
@@ -491,127 +493,134 @@ def _c_i64(arr) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=np.int64)
 
 
-class NumbaBackend(ArrayBackend):
-    """NumPy namespace plus compiled fused loops for the branchy paths."""
+def scatter_loads(sigma, weights, num_links, initial_traffic=None):
+    loads = _scatter_loads(_c_i64(sigma), _c_f64(weights), num_links)
+    if initial_traffic is not None:
+        loads += np.asarray(initial_traffic, dtype=np.float64)
+    return loads
 
-    def __init__(self) -> None:
-        super().__init__(module=np, name="numba")
 
-    def scatter_loads(self, sigma, weights, num_links, initial_traffic=None):
-        loads = _scatter_loads(_c_i64(sigma), _c_f64(weights), num_links)
-        if initial_traffic is not None:
-            loads += np.asarray(initial_traffic, dtype=np.float64)
-        return loads
+def count_pure_nash(assignments, weights, capacities, traffic, tol):
+    return _census_pure_nash(
+        _c_i64(assignments),
+        _c_f64(weights),
+        _c_f64(capacities),
+        _c_f64(traffic),
+        float(tol),
+        False,
+    )
 
-    def count_pure_nash(self, assignments, weights, capacities, traffic, tol):
-        return _census_pure_nash(
-            _c_i64(assignments),
-            _c_f64(weights),
-            _c_f64(capacities),
-            _c_f64(traffic),
-            float(tol),
-            False,
-        )
 
-    def exists_pure_nash(self, assignments, weights, capacities, traffic, tol):
-        counts = _census_pure_nash(
-            _c_i64(assignments),
-            _c_f64(weights),
-            _c_f64(capacities),
-            _c_f64(traffic),
-            float(tol),
-            True,
-        )
-        return counts > 0
+def exists_pure_nash(assignments, weights, capacities, traffic, tol):
+    counts = _census_pure_nash(
+        _c_i64(assignments),
+        _c_f64(weights),
+        _c_f64(capacities),
+        _c_f64(traffic),
+        float(tol),
+        True,
+    )
+    return counts > 0
 
-    def nashify_common_loop(
-        self, sigma, weights, capacities, caps_row, traffic, max_steps
-    ):
-        out, steps, converged = _nashify_common(
-            _c_i64(sigma),
-            _c_f64(weights),
-            _c_f64(capacities),
-            _c_f64(caps_row),
-            _c_f64(traffic),
-            int(max_steps),
-        )
-        return out.astype(np.intp, copy=False), steps, converged
 
-    def dynamics_loop(
-        self,
-        sigma,
-        weights,
-        capacities,
-        traffic,
-        best,
-        max_regret,
-        max_steps,
-        tol,
-        detect_cycles,
-    ):
-        n = sigma.shape[1]
-        m = capacities.shape[2]
-        if detect_cycles and m**n >= 2**63:
-            # Profile codes overflow int64; decline so the generic
-            # byte-hash lockstep path handles these enormous games.
-            return None
-        radix = np.power(np.int64(m), np.arange(n, dtype=np.int64))
-        # Open-addressing set capacity: power of two, load factor <= 0.5
-        # for the at most min(max_steps, m^n) + 1 codes a trajectory can
-        # insert before terminating.
-        entries = min(int(max_steps), m**n) + 2
-        cap = 2
-        while cap < 2 * entries:
-            cap <<= 1
-        out, converged, steps, cycled = _dynamics(
-            _c_i64(sigma),
-            _c_f64(weights),
-            _c_f64(capacities),
-            _c_f64(traffic),
-            radix,
-            bool(best),
-            bool(max_regret),
-            int(max_steps),
-            float(tol),
-            bool(detect_cycles),
-            cap,
-        )
-        return out.astype(np.intp, copy=False), converged, steps, cycled
+def nashify_common_loop(sigma, weights, capacities, caps_row, traffic, max_steps):
+    out, steps, converged = _nashify_common(
+        _c_i64(sigma),
+        _c_f64(weights),
+        _c_f64(capacities),
+        _c_f64(caps_row),
+        _c_f64(traffic),
+        int(max_steps),
+    )
+    return out.astype(np.intp, copy=False), steps, converged
 
-    def fixpoint_loop(
-        self,
-        weights,
-        capacities,
-        traffic,
-        tol,
-        eta,
-        log2_beta_max,
-        max_rounds,
-        stall_rounds,
-        stall_rtol,
-    ):
-        return _fixpoint(
-            _c_f64(weights),
-            _c_f64(capacities),
-            _c_f64(traffic),
-            float(tol),
-            float(eta),
-            int(log2_beta_max),
-            int(max_rounds),
-            int(stall_rounds),
-            float(stall_rtol),
-        )
 
-    def census_cycle(self, assignments, weights, capacities, traffic, best, tol):
-        n = assignments.shape[1]
-        m = capacities.shape[2]
-        place = np.power(np.int64(m), np.arange(n - 1, -1, -1, dtype=np.int64))
-        return _census_cycle(
-            _c_i64(assignments),
-            _c_f64(weights),
-            _c_f64(capacities),
-            _c_f64(traffic),
-            place,
-            bool(best),
-            float(tol),
-        )
+def dynamics_loop(
+    sigma,
+    weights,
+    capacities,
+    traffic,
+    best,
+    max_regret,
+    max_steps,
+    tol,
+    detect_cycles,
+):
+    n = sigma.shape[1]
+    m = capacities.shape[2]
+    if detect_cycles and m**n >= 2**63:
+        # Profile codes overflow int64; decline so the generic
+        # byte-hash lockstep path handles these enormous games.
+        return None
+    radix = np.power(np.int64(m), np.arange(n, dtype=np.int64))
+    # Open-addressing set capacity: power of two, load factor <= 0.5
+    # for the at most min(max_steps, m^n) + 1 codes a trajectory can
+    # insert before terminating.
+    entries = min(int(max_steps), m**n) + 2
+    cap = 2
+    while cap < 2 * entries:
+        cap <<= 1
+    out, converged, steps, cycled = _dynamics(
+        _c_i64(sigma),
+        _c_f64(weights),
+        _c_f64(capacities),
+        _c_f64(traffic),
+        radix,
+        bool(best),
+        bool(max_regret),
+        int(max_steps),
+        float(tol),
+        bool(detect_cycles),
+        cap,
+    )
+    return out.astype(np.intp, copy=False), converged, steps, cycled
+
+
+def fixpoint_loop(
+    weights,
+    capacities,
+    traffic,
+    tol,
+    eta,
+    log2_beta_max,
+    max_rounds,
+    stall_rounds,
+    stall_rtol,
+):
+    return _fixpoint(
+        _c_f64(weights),
+        _c_f64(capacities),
+        _c_f64(traffic),
+        float(tol),
+        float(eta),
+        int(log2_beta_max),
+        int(max_rounds),
+        int(stall_rounds),
+        float(stall_rtol),
+    )
+
+
+def census_cycle(assignments, weights, capacities, traffic, best, tol):
+    n = assignments.shape[1]
+    m = capacities.shape[2]
+    place = np.power(np.int64(m), np.arange(n - 1, -1, -1, dtype=np.int64))
+    return _census_cycle(
+        _c_i64(assignments),
+        _c_f64(weights),
+        _c_f64(capacities),
+        _c_f64(traffic),
+        place,
+        bool(best),
+        float(tol),
+    )
+
+
+NUMBA_HOOKS = FusedHooks(
+    scatter_loads=scatter_loads,
+    count_pure_nash=count_pure_nash,
+    exists_pure_nash=exists_pure_nash,
+    nashify_common_loop=nashify_common_loop,
+    dynamics_loop=dynamics_loop,
+    census_cycle=census_cycle,
+    fixpoint_loop=fixpoint_loop,
+)

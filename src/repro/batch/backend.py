@@ -1,32 +1,19 @@
-"""Pluggable array backends behind the ``(B, n, m)`` batch kernels.
+"""Backend selection for the ``(B, n, m)`` batch kernels.
 
-The batch engine's kernels only use a small, fixed vocabulary of array
-operations (:data:`PROTOCOL_OPS` — broadcasting arithmetic helpers,
-``bincount``/segment sums, ``argmax``/``argmin`` selection, masking,
-stacked ``linalg`` solves, reductions). This module turns that
-vocabulary into an explicit seam: every kernel resolves its namespace
-through :func:`get_backend` instead of importing :mod:`numpy` directly,
-so the same kernel source runs on
+The kernels are plain NumPy. A *backend* is a :class:`FusedHooks`
+table: the few branch-heavy computations BLAS cannot help (the ``m^n``
+pure-NE census, the response-cycle census peel, lockstep
+nashification, best-response dynamics, the fixed-point round loop)
+that a backend may take over wholesale. Two backends exist:
 
-* ``numpy``  — the **bit-parity reference**. The namespace *is* the
-  :mod:`numpy` module (attribute delegation), so kernels behave
-  operation for operation exactly as before the seam existed; every
-  frozen seed baseline and the service differential suite stay
-  byte-identical under it.
-* ``numba``  — a JIT backend (``pip install repro[jit]``) that keeps the
-  dense BLAS-shaped ops on NumPy but replaces the branch-heavy fused
-  loops BLAS cannot help — the ``m^n`` pure-NE census, the
-  response-cycle census peel, lockstep nashification and best-response
-  dynamics — with compiled per-game loops
-  (:mod:`repro.batch._numba_backend`). Gated by tolerance-based
-  differential tests, never by byte identity.
-* ``cupy`` / ``jax`` — GPU stubs that register **only when the library
-  imports**; they delegate the namespace to ``cupy`` / ``jax.numpy``
-  and inherit the generic kernel compositions. On hosts without the
-  libraries they are reported unavailable and their differential tests
-  skip with a visible reason instead of failing.
+* ``numpy``  — the **bit-parity reference**: every hook is ``None``,
+  so every kernel runs its generic NumPy composition and every frozen
+  seed baseline and the service differential suite stay byte-identical;
+* ``numba``  — compiled per-game loops for all seven hooks
+  (``pip install repro[jit]``, :mod:`repro.batch._numba_backend`).
+  Gated by tolerance-based differential tests, never by byte identity.
 
-Backends are looked up by name. Resolution precedence:
+Resolution precedence:
 
 1. an explicit :func:`set_backend` / :func:`use_backend` call — the CLI
    ``--backend`` flag lands here (and exports :data:`ENV_VAR` so
@@ -34,51 +21,26 @@ Backends are looked up by name. Resolution precedence:
 2. the :data:`ENV_VAR` (``REPRO_BACKEND``) environment variable;
 3. the default, ``numpy``.
 
-Beyond the primitive namespace, a backend may implement *fused-kernel
-hooks* (:data:`FUSED_HOOKS`). Each hook is ``None`` by default, meaning
-"compose me from primitives" — the generic kernel path runs. A backend
-that sets a hook takes over that whole computation; the contract is the
-hook's docstring on :class:`ArrayBackend`. This is how the Numba backend
-accelerates exactly the loops that resist vectorisation without forking
-any kernel logic.
-
-Adding a backend::
-
-    from repro.batch import backend
-
-    class MyBackend(backend.ArrayBackend):
-        def __init__(self):
-            super().__init__(module=my_namespace, name="mine")
-
-    backend.register_backend("mine", MyBackend)
-
-and select it with ``REPRO_BACKEND=mine`` or ``--backend mine``.
+The choice is resolved once — on selection, or on first use after
+``set_backend(None)`` — so a kernel call pays one global read.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import os
-import threading
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator
-
-import numpy as np
+from typing import Any, Callable, Iterator, NamedTuple
 
 from repro.errors import BackendError
 
 __all__ = [
-    "ArrayBackend",
     "DEFAULT_BACKEND",
     "ENV_VAR",
-    "FUSED_HOOKS",
-    "OPTIONAL_BACKENDS",
-    "PROTOCOL_OPS",
+    "FusedHooks",
+    "active_hooks",
+    "active_name",
     "available_backends",
-    "backend_names",
-    "check_protocol",
-    "get_backend",
-    "register_backend",
     "set_backend",
     "use_backend",
 ]
@@ -88,60 +50,14 @@ DEFAULT_BACKEND = "numpy"
 #: Environment variable naming the default backend for a process tree.
 ENV_VAR = "REPRO_BACKEND"
 
-#: The primitive array vocabulary the batch kernels are written against.
-#: ``check_protocol`` verifies a namespace resolves every op; nothing
-#: outside this list (plus the ``linalg`` sub-namespace) is required of
-#: a backend's module.
-PROTOCOL_OPS = (
-    # construction / conversion
-    "asarray", "ascontiguousarray", "array", "zeros", "empty", "full",
-    "ones", "arange", "repeat", "stack", "concatenate",
-    # broadcasting / indexing
-    "broadcast_to", "broadcast_shapes", "take_along_axis",
-    "put_along_axis", "where", "nonzero", "flatnonzero", "unique",
-    "argsort",
-    # selection / segment sums
-    "argmax", "argmin", "bincount", "cumsum",
-    # elementwise / masking
-    "maximum", "minimum", "clip", "abs", "log", "isfinite", "sign",
-    "round", "power", "swapaxes", "logical_and",
-    # reductions / contractions
-    "all", "any", "matmul", "tensordot",
-)
 
-#: ``linalg`` ops the stacked support-enumeration solver uses.
-PROTOCOL_LINALG_OPS = ("solve", "svd", "det", "lstsq", "norm")
+class FusedHooks(NamedTuple):
+    """A backend's fused-kernel hooks; ``None`` runs the generic kernel.
 
-#: Optional fused-kernel hooks a backend may implement (``None`` means
-#: the generic composed implementation runs). See :class:`ArrayBackend`.
-FUSED_HOOKS = (
-    "scatter_loads",
-    "count_pure_nash",
-    "exists_pure_nash",
-    "nashify_common_loop",
-    "dynamics_loop",
-    "census_cycle",
-    "fixpoint_loop",
-)
-
-#: Backends whose availability is always reported (even before their
-#: lazy registration probe has run).
-OPTIONAL_BACKENDS = ("numba", "cupy", "jax")
-
-
-class ArrayBackend:
-    """A named array namespace plus optional fused-kernel hooks.
-
-    The base class delegates every attribute in :data:`PROTOCOL_OPS`
-    (and anything else the kernels reach for) to *module* — with the
-    default ``module=numpy`` this is the bit-parity reference backend:
-    ``backend.bincount`` *is* :func:`numpy.bincount`.
-
-    Fused-kernel hooks (all ``None`` here) let a subclass take over a
-    whole branch-heavy computation. Signatures (arrays are C-contiguous
-    ``float64`` / ``intp`` unless noted; every hook must reproduce the
-    generic path's *verdicts* — trajectories bit for bit where the
-    generic kernel documents trajectory parity):
+    A hook takes over a whole branch-heavy computation. Signatures
+    (arrays are C-contiguous ``float64`` / ``intp`` unless noted; every
+    hook must reproduce the generic path's *verdicts* — trajectories
+    bit for bit where the generic kernel documents trajectory parity):
 
     ``scatter_loads(sigma, weights, num_links, initial_traffic)``
         ``(A, n)`` assignments/weights (+ optional ``(A, m)`` traffic)
@@ -178,7 +94,6 @@ class ArrayBackend:
         index-order accumulations by design).
     """
 
-    #: hooks — ``None`` selects the generic composed kernel.
     scatter_loads: Callable[..., Any] | None = None
     count_pure_nash: Callable[..., Any] | None = None
     exists_pure_nash: Callable[..., Any] | None = None
@@ -187,214 +102,84 @@ class ArrayBackend:
     census_cycle: Callable[..., Any] | None = None
     fixpoint_loop: Callable[..., Any] | None = None
 
-    def __init__(self, module: Any = np, name: str = "numpy") -> None:
-        self.module = module
-        self.name = name
 
-    def __getattr__(self, op: str) -> Any:
-        # Only consulted for attributes not found on the instance/class:
-        # the primitive-namespace delegation.
-        return getattr(self.module, op)
-
-    @property
-    def linalg(self) -> Any:
-        return self.module.linalg
-
-    def __repr__(self) -> str:
-        return f"<ArrayBackend {self.name!r} ({self.module.__name__})>"
-
-
-def check_protocol(backend: ArrayBackend) -> list[str]:
-    """Ops of :data:`PROTOCOL_OPS` the backend fails to resolve.
-
-    An empty list means the namespace is complete; used by the
-    registration tests and useful when bringing up a new backend.
-    """
-    missing = [op for op in PROTOCOL_OPS if not hasattr(backend, op)]
+def _numba_hooks() -> FusedHooks:
     try:
-        lin = backend.linalg
-    except AttributeError:
-        missing.append("linalg")
-    else:
-        missing.extend(
-            f"linalg.{op}"
-            for op in PROTOCOL_LINALG_OPS
-            if not hasattr(lin, op)
-        )
-    return missing
-
-
-# ---------------------------------------------------------------------- #
-# registry and resolution
-# ---------------------------------------------------------------------- #
-
-_LOCK = threading.Lock()
-_REGISTRY: dict[str, Callable[[], ArrayBackend]] = {}
-_PROBES: dict[str, Callable[[], bool]] = {}
-_INSTANCES: dict[str, ArrayBackend] = {}
-#: The explicitly selected backend name (CLI/set_backend); overrides env.
-_EXPLICIT: str | None = None
-
-
-def register_backend(
-    name: str,
-    factory: Callable[[], ArrayBackend],
-    *,
-    probe: Callable[[], bool] | None = None,
-    replace: bool = False,
-) -> None:
-    """Register *factory* under *name*.
-
-    *probe* reports availability without instantiating (defaults to
-    "always available"); *replace* allows re-registration (tests).
-    """
-    with _LOCK:
-        if name in _REGISTRY and not replace:
-            raise BackendError(f"backend {name!r} is already registered")
-        _REGISTRY[name] = factory
-        _PROBES[name] = probe if probe is not None else (lambda: True)
-        _INSTANCES.pop(name, None)
-
-
-def unregister_backend(name: str) -> None:
-    """Remove *name* from the registry (testing helper)."""
-    if name == DEFAULT_BACKEND:
-        raise BackendError("the numpy reference backend cannot be removed")
-    with _LOCK:
-        _REGISTRY.pop(name, None)
-        _PROBES.pop(name, None)
-        _INSTANCES.pop(name, None)
-
-
-def backend_names() -> tuple[str, ...]:
-    """Registered backend names, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def available_backends() -> dict[str, bool]:
-    """Name -> availability for every registered or optional backend.
-
-    Optional backends (:data:`OPTIONAL_BACKENDS`) appear even when their
-    import-gated registration never ran, reported unavailable — the
-    skip-report surface for runners without the extras installed.
-    """
-    status = {name: _PROBES[name]() for name in backend_names()}
-    for name in OPTIONAL_BACKENDS:
-        status.setdefault(name, False)
-    return status
-
-
-def _instantiate(name: str) -> ArrayBackend:
-    try:
-        cached = _INSTANCES[name]
-    except KeyError:
-        pass
-    else:
-        return cached
-    try:
-        factory = _REGISTRY[name]
-    except KeyError:
-        raise BackendError(
-            f"unknown array backend {name!r}; registered backends: "
-            f"{', '.join(backend_names())}"
-        ) from None
-    instance = factory()
-    with _LOCK:
-        _INSTANCES[name] = instance
-    return instance
-
-
-def get_backend(name: str | None = None) -> ArrayBackend:
-    """The backend *name* resolves to, or the active default.
-
-    With ``name=None`` the precedence is explicit selection
-    (:func:`set_backend` / the CLI flag) over the :data:`ENV_VAR`
-    environment variable over ``numpy``. Instances are cached per name,
-    so the per-kernel-call cost is a dictionary lookup.
-    """
-    if name is None:
-        name = _EXPLICIT or os.environ.get(ENV_VAR) or DEFAULT_BACKEND
-    return _instantiate(name)
-
-
-def set_backend(name: str | None) -> ArrayBackend | None:
-    """Select *name* explicitly (overriding the environment variable).
-
-    ``None`` clears the explicit selection, returning resolution to the
-    env-var/default chain. The backend is instantiated eagerly so an
-    unknown or unavailable name fails at selection time, not at the
-    first kernel call.
-    """
-    global _EXPLICIT
-    if name is None:
-        _EXPLICIT = None
-        return None
-    instance = _instantiate(name)
-    _EXPLICIT = name
-    return instance
-
-
-@contextmanager
-def use_backend(name: str) -> Iterator[ArrayBackend]:
-    """Context manager: run a block under backend *name*."""
-    global _EXPLICIT
-    previous = _EXPLICIT
-    instance = set_backend(name)
-    try:
-        yield instance  # type: ignore[misc]
-    finally:
-        _EXPLICIT = previous
-
-
-# ---------------------------------------------------------------------- #
-# built-in backends
-# ---------------------------------------------------------------------- #
-
-
-def _module_available(module: str) -> bool:
-    try:
-        return importlib.util.find_spec(module) is not None
-    except (ImportError, ValueError):  # pragma: no cover - broken metadata
-        return False
-
-
-def _numba_factory() -> ArrayBackend:
-    try:
-        from repro.batch._numba_backend import NumbaBackend
+        from repro.batch._numba_backend import NUMBA_HOOKS
     except ImportError as exc:
         raise BackendError(
             "backend 'numba' requires the numba package — install the "
             "JIT extra: pip install 'repro-network-uncertainty[jit]'"
         ) from exc
-    return NumbaBackend()
+    return NUMBA_HOOKS
 
 
-def _cupy_factory() -> ArrayBackend:
-    import cupy  # registration is import-gated, so this resolves
+_FACTORIES: dict[str, Callable[[], FusedHooks]] = {
+    "numpy": FusedHooks,
+    "numba": _numba_hooks,
+}
 
-    return ArrayBackend(module=cupy, name="cupy")
-
-
-def _jax_factory() -> ArrayBackend:
-    import jax.numpy as jnp
-
-    return ArrayBackend(module=jnp, name="jax")
+#: The resolved ``(name, hooks)`` pair; ``None`` until first use after
+#: ``set_backend(None)``.
+_ACTIVE: tuple[str, FusedHooks] | None = None
 
 
-register_backend("numpy", ArrayBackend)
-register_backend(
-    "numba", _numba_factory, probe=lambda: _module_available("numba")
-)
-# GPU stubs: registered only when the library imports on this host. They
-# delegate the primitive namespace to the drop-in array module and run
-# the generic kernel compositions; certification is tolerance-based
-# differential testing (tests skip, visibly, where the import gate keeps
-# the backend unregistered).
-if _module_available("cupy"):  # pragma: no cover - needs CUDA host
-    register_backend(
-        "cupy", _cupy_factory, probe=lambda: _module_available("cupy")
-    )
-if _module_available("jax"):  # pragma: no cover - needs jax install
-    register_backend(
-        "jax", _jax_factory, probe=lambda: _module_available("jax")
-    )
+def _load(name: str) -> tuple[str, FusedHooks]:
+    try:
+        factory = _FACTORIES[name]
+    except KeyError:
+        raise BackendError(
+            f"unknown array backend {name!r}; known backends: "
+            f"{', '.join(sorted(_FACTORIES))}"
+        ) from None
+    return name, factory()
+
+
+def _active() -> tuple[str, FusedHooks]:
+    global _ACTIVE
+    active = _ACTIVE
+    if active is None:
+        active = _ACTIVE = _load(os.environ.get(ENV_VAR) or DEFAULT_BACKEND)
+    return active
+
+
+def active_name() -> str:
+    """Name of the active backend (resolving it on first use)."""
+    return _active()[0]
+
+
+def active_hooks() -> FusedHooks:
+    """Hook table of the active backend (resolving it on first use)."""
+    return _active()[1]
+
+
+def available_backends() -> dict[str, bool]:
+    """Name -> whether the backend can be selected on this host."""
+    return {
+        "numpy": True,
+        "numba": importlib.util.find_spec("numba") is not None,
+    }
+
+
+def set_backend(name: str | None) -> None:
+    """Select *name* explicitly (overriding the environment variable).
+
+    ``None`` clears the selection; the next kernel call re-resolves
+    from the env-var/default chain. An unknown or unavailable name
+    raises :class:`~repro.errors.BackendError` here, leaving the
+    current selection in place.
+    """
+    global _ACTIVE
+    _ACTIVE = None if name is None else _load(name)
+
+
+@contextmanager
+def use_backend(name: str) -> Iterator[FusedHooks]:
+    """Context manager: run a block under backend *name*."""
+    global _ACTIVE
+    previous = _ACTIVE
+    set_backend(name)
+    try:
+        yield active_hooks()
+    finally:
+        _ACTIVE = previous

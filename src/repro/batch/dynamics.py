@@ -27,7 +27,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from repro.errors import ModelError
-from repro.batch.backend import get_backend
+from repro.batch.backend import active_hooks
 from repro.batch.container import GameBatch
 from repro.util.rng import RandomState, as_generator
 
@@ -122,14 +122,14 @@ def deviation_slab(
     passes them via *loads* to skip the accumulation; the lockstep
     nashifier shares one loads pass per step this way.
     """
-    xp = get_backend()
+    hooks = active_hooks()
     a, n = sigma.shape
     m = capacities.shape[-1]
     if loads is None:
-        if xp.scatter_loads is not None:
-            loads = xp.scatter_loads(sigma, weights, m, traffic)
+        if hooks.scatter_loads is not None:
+            loads = hooks.scatter_loads(sigma, weights, m, traffic)
         else:
-            loads = xp.zeros((a, m))
+            loads = np.zeros((a, m))
             flat_rows = rows[:a, 0]
             for i in range(n):
                 loads[flat_rows, sigma[:, i]] += weights[:, i]
@@ -157,17 +157,17 @@ def _run_batch_dynamics(
             f"lockstep dynamics supports deterministic schedules only, "
             f"got {schedule!r} (use the single-game API for 'random')"
         )
-    xp = get_backend()
+    hooks = active_hooks()
     sigma = _start_profiles(batch, start, seeds, seed)
     b, n = sigma.shape
     m = batch.num_links
     weights, caps, traffic = batch.weights, batch.capacities, batch.initial_traffic
 
-    if xp.dynamics_loop is not None:
+    if hooks.dynamics_loop is not None:
         # Fused backend stepper (e.g. the Numba per-game loops). May
         # decline (None) — enormous games whose profile codes overflow
         # int64 fall back to the generic byte-hash path below.
-        fused = xp.dynamics_loop(
+        fused = hooks.dynamics_loop(
             sigma,
             weights,
             caps,
@@ -200,7 +200,7 @@ def _run_batch_dynamics(
 
     iteration = 0
     while active.any() and iteration < max_steps:
-        idx = xp.flatnonzero(active)
+        idx = np.flatnonzero(active)
         if detect_cycles:
             # A deterministic schedule revisiting a profile proves a cycle.
             if radix is not None:
@@ -216,7 +216,7 @@ def _run_batch_dynamics(
                 else:
                     seen[g].add(key)
             if hit_cycle:
-                idx = xp.flatnonzero(active)
+                idx = np.flatnonzero(active)
                 if idx.size == 0:
                     break
 
@@ -227,7 +227,7 @@ def _run_batch_dynamics(
             caps_a, traffic_a = caps[idx], traffic[idx]
         dev = deviation_slab(sig_a, w_a, caps_a, traffic_a, all_rows, user_cols)
         current = dev[all_rows[: idx.size], user_cols, sig_a]
-        scale = xp.maximum(current, 1.0)
+        scale = np.maximum(current, 1.0)
         improving = dev.min(axis=-1) < current - tol * scale  # (A, n)
         has_mover = improving.any(axis=-1)
 
@@ -246,20 +246,20 @@ def _run_batch_dynamics(
             cur_a = current[has_mover]
         if schedule == "round_robin":
             # First improving user == movers.min() of the single-game code.
-            user = xp.argmax(imp, axis=1)
+            user = np.argmax(imp, axis=1)
         else:  # max_regret
-            regret = xp.where(imp, cur_a - dev_a.min(axis=-1), -np.inf)
-            user = xp.argmax(regret, axis=1)
+            regret = np.where(imp, cur_a - dev_a.min(axis=-1), -np.inf)
+            user = np.argmax(regret, axis=1)
 
         rows = np.arange(act.size)
         row = dev_a[rows, user]  # (A', m)
         if mode == "best":
-            target = xp.argmin(row, axis=1)
+            target = np.argmin(row, axis=1)
         else:
             cost = cur_a[rows, user]
-            row_scale = xp.maximum(cost, 1.0)
+            row_scale = np.maximum(cost, 1.0)
             better = row < (cost - tol * row_scale)[:, None]
-            target = xp.argmax(better, axis=1)  # first improving link
+            target = np.argmax(better, axis=1)  # first improving link
 
         sigma[act, user] = target
         steps[act] += 1

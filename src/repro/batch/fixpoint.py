@@ -64,11 +64,10 @@ fatal for the batch. The ``B = 1`` view
 (:func:`repro.equilibria.fixpoint.fixpoint_mixed_nash`) turns the flag
 into a :class:`~repro.errors.ConvergenceError`.
 
-Backend seam
-------------
-Every kernel resolves its namespace through
-:func:`repro.batch.backend.get_backend`; the whole round loop is the
-``fixpoint_loop`` fused hook (:data:`~repro.batch.backend.FUSED_HOOKS`),
+Fused hook
+----------
+The kernels call NumPy directly; the whole round loop is the
+``fixpoint_loop`` fused hook (:class:`~repro.batch.backend.FusedHooks`),
 which the numba backend implements as a compiled ``prange``-per-game
 loop reproducing the generic trajectory state for state. The generic
 composition below remains the bit-parity reference.
@@ -80,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.batch.backend import get_backend
+from repro.batch.backend import active_hooks
 from repro.batch.mixed import SUPPORT_ATOL, batch_is_mixed_nash
 from repro.errors import DimensionError, ModelError
 
@@ -164,9 +163,8 @@ def _validated(
     capacities: np.ndarray,
     initial_traffic: np.ndarray | None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    xp = get_backend()
-    w = xp.asarray(weights, dtype=np.float64)
-    caps = xp.asarray(capacities, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    caps = np.asarray(capacities, dtype=np.float64)
     if caps.ndim != 3 or w.ndim != 2:
         raise DimensionError(
             "batch_fixpoint_mixed_nash needs weights (B, n) and "
@@ -178,9 +176,9 @@ def _validated(
             f"capacities cover (B, n) = ({b}, {n}), weights are {w.shape}"
         )
     if initial_traffic is None:
-        t = xp.zeros((b, m))
+        t = np.zeros((b, m))
     else:
-        t = xp.asarray(initial_traffic, dtype=np.float64)
+        t = np.asarray(initial_traffic, dtype=np.float64)
         if t.shape != (b, m):
             raise DimensionError(
                 f"initial_traffic must be ({b}, {m}), got {t.shape}"
@@ -200,10 +198,9 @@ def _generic_fixpoint_loop(
     stall_rtol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The bit-parity reference round loop (see the hook contract on
-    :class:`~repro.batch.backend.ArrayBackend`)."""
-    xp = get_backend()
+    :class:`~repro.batch.backend.FusedHooks`)."""
     b, n, m = caps.shape
-    p = xp.full((b, n, m), 1.0 / m)
+    p = np.full((b, n, m), 1.0 / m)
     rounds = np.zeros(b, dtype=np.int64)
     residuals = np.full(b, np.inf)
     best = np.full(b, np.inf)
@@ -215,21 +212,21 @@ def _generic_fixpoint_loop(
     for k in range(max_rounds + 1):
         # Rebuild link traffic from scratch, users in index order (the
         # bit-parity accumulation contract), and check the residual.
-        w_link = xp.zeros((b, m))
+        w_link = np.zeros((b, m))
         for i in range(n):
             w_link = w_link + p[:, i, :] * w[:, i, None]
         lat = ((1.0 - p) * w[:, :, None] + (t + w_link)[:, None, :]) / caps
         mins = lat.min(axis=-1)
-        scale = xp.maximum(mins, 1.0)
+        scale = np.maximum(mins, 1.0)
         excess = (lat - mins[..., None]) / scale[..., None]
-        r = xp.where(p > SUPPORT_ATOL, excess, 0.0).max(axis=(-2, -1))
-        residuals = xp.where(active, r, residuals)
+        r = np.where(p > SUPPORT_ATOL, excess, 0.0).max(axis=(-2, -1))
+        residuals = np.where(active, r, residuals)
         newly = active & (r <= tol)
         converged |= newly
         active &= ~newly
         improved = active & (r < best * (1.0 - stall_rtol))
-        best = xp.where(improved, r, best)
-        since = xp.where(active, xp.where(improved, 0, since + 1), since)
+        best = np.where(improved, r, best)
+        since = np.where(active, np.where(improved, 0, since + 1), since)
         newly_stalled = active & (since >= stall_rounds)
         stalled |= newly_stalled
         active &= ~newly_stalled
@@ -249,10 +246,10 @@ def _generic_fixpoint_loop(
             for link in range(1, m):
                 s = s + g[:, link]
             updated = (1.0 - eta) * row + eta * (g / s[:, None])
-            updated = xp.where(active[:, None], updated, row)
+            updated = np.where(active[:, None], updated, row)
             w_link = w_link + (updated - row) * w[:, u, None]
             p[:, u, :] = updated
-        rounds = xp.where(active, rounds + 1, rounds)
+        rounds = np.where(active, rounds + 1, rounds)
         if log2beta < log2_beta_max:
             log2beta += 1
     return p, rounds, residuals, converged, stalled
@@ -303,10 +300,10 @@ def batch_fixpoint_mixed_nash(
         int(stall_rounds),
         float(stall_rtol),
     )
-    xp = get_backend()
+    hooks = active_hooks()
     fused = None
-    if xp.fixpoint_loop is not None:
-        fused = xp.fixpoint_loop(w, caps, t, *args)
+    if hooks.fixpoint_loop is not None:
+        fused = hooks.fixpoint_loop(w, caps, t, *args)
     if fused is None:
         fused = _generic_fixpoint_loop(w, caps, t, *args)
     p, rounds, residuals, converged, stalled = fused

@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.batch.backend import get_backend
 from repro.errors import DimensionError
 
 __all__ = [
@@ -57,10 +56,9 @@ def _as_mixed_arrays(
     weights: np.ndarray,
     capacities: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    xp = get_backend()
-    p = xp.asarray(probs, dtype=np.float64)
-    w = xp.asarray(weights, dtype=np.float64)
-    caps = xp.asarray(capacities, dtype=np.float64)
+    p = np.asarray(probs, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    caps = np.asarray(capacities, dtype=np.float64)
     if p.ndim < 2 or caps.ndim < 2 or w.ndim < 1:
         raise DimensionError(
             "probabilities/capacities need at least (n, m), weights (n,)"
@@ -78,7 +76,7 @@ def _stacked_matvec(matrices: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """``out[..., l] = sum_i M[..., i, l] v[..., i]`` — bit-compatible
     with the 2-D ``M.T @ v`` (same BLAS reduction, see module docstring).
     """
-    return get_backend().matmul(vectors[..., None, :], matrices)[..., 0, :]
+    return np.matmul(vectors[..., None, :], matrices)[..., 0, :]
 
 
 @dataclass(frozen=True)
@@ -123,18 +121,17 @@ def batch_fully_mixed_candidate(
     lambdas, one stacked mat-vec the ``(..., m)`` expected traffics, and
     a broadcasted affine map the ``(..., n, m)`` probability tensors.
     """
-    xp = get_backend()
-    w = xp.asarray(weights, dtype=np.float64)
-    caps = xp.asarray(capacities, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    caps = np.asarray(capacities, dtype=np.float64)
     if caps.ndim < 2 or w.ndim < 1:
         raise DimensionError("capacities need at least (n, m), weights (n,)")
     n, m = caps.shape[-2], caps.shape[-1]
     if w.shape[-1] != n:
         raise DimensionError(f"capacities cover {n} users, weights cover {w.shape[-1]}")
     if initial_traffic is None:
-        t = xp.zeros(caps.shape[:-2] + (m,))
+        t = np.zeros(caps.shape[:-2] + (m,))
     else:
-        t = xp.asarray(initial_traffic, dtype=np.float64)
+        t = np.asarray(initial_traffic, dtype=np.float64)
 
     w_tot = w.sum(axis=-1)  # (...,)
     t_tot = t.sum(axis=-1)
@@ -154,7 +151,7 @@ def batch_fully_mixed_candidate(
     ) / w[..., None]  # Lemma 4.3
 
     axes = (-2, -1)
-    interior = xp.logical_and(
+    interior = np.logical_and(
         (probs > boundary_tol).all(axis=axes),
         (probs < 1.0 - boundary_tol).all(axis=axes),
     )
@@ -184,7 +181,7 @@ def batch_mixed_latency_matrix(
     else:
         w_link = _stacked_matvec(p, w)
     if initial_traffic is not None:
-        w_link = w_link + get_backend().asarray(initial_traffic, dtype=np.float64)
+        w_link = w_link + np.asarray(initial_traffic, dtype=np.float64)
     numer = (1.0 - p) * w[..., None] + w_link[..., None, :]
     return numer / caps
 
@@ -218,7 +215,7 @@ def batch_is_mixed_nash(
     p, w, caps = _as_mixed_arrays(probs, weights, capacities)
     lat = batch_mixed_latency_matrix(p, w, caps, initial_traffic)
     minima = lat.min(axis=-1)
-    scale = get_backend().maximum(minima, 1.0)
+    scale = np.maximum(minima, 1.0)
     bad = (p > SUPPORT_ATOL) & (lat > (minima + tol * scale)[..., None])
     return ~bad.any(axis=(-2, -1))
 
@@ -232,6 +229,5 @@ def normalize_rows(probs: np.ndarray) -> np.ndarray:
     matrix the single-game ``FullyMixedResult.profile()`` exposes.
     Broadcasts over any batch prefix.
     """
-    xp = get_backend()
-    arr = xp.clip(xp.asarray(probs, dtype=np.float64), 0.0, None)
+    arr = np.clip(np.asarray(probs, dtype=np.float64), 0.0, None)
     return arr / arr.sum(axis=-1, keepdims=True)

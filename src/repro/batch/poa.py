@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.batch.backend import get_backend
 from repro.batch.container import GameBatch
 from repro.batch.kernels import _all_assignments, _block_onehot, sweep_pure_nash_mask
 from repro.batch.mixed import (
@@ -75,7 +74,7 @@ def batch_poa_bound_uniform(capacities: np.ndarray) -> np.ndarray:
     Operates on ``(..., n, m)`` capacity tensors; valid under uniform
     user beliefs. Returns shape ``(...)``.
     """
-    caps = get_backend().asarray(capacities, dtype=np.float64)
+    caps = np.asarray(capacities, dtype=np.float64)
     n, m = caps.shape[-2], caps.shape[-1]
     axes = (-2, -1)
     return caps.max(axis=axes) / caps.min(axis=axes) * (m + n - 1) / m
@@ -83,7 +82,7 @@ def batch_poa_bound_uniform(capacities: np.ndarray) -> np.ndarray:
 
 def batch_poa_bound_general(capacities: np.ndarray) -> np.ndarray:
     """Theorem 4.14's bound ``(cmax^2/cmin)(m + n - 1)/sum_j c^j_min``."""
-    caps = get_backend().asarray(capacities, dtype=np.float64)
+    caps = np.asarray(capacities, dtype=np.float64)
     n, m = caps.shape[-2], caps.shape[-1]
     axes = (-2, -1)
     cmax = caps.max(axis=axes)
@@ -102,18 +101,17 @@ def batch_all_pure_latencies(
     :func:`repro.model.social.all_pure_costs`, replicating its per-link
     masked load sums so each ``[b]`` slice is bit-identical.
     """
-    xp = get_backend()
     n, m = batch.num_users, batch.num_links
     if assignments is None:
         assignments = enumerate_assignments(n, m)
-    sig = xp.ascontiguousarray(assignments, dtype=np.intp)
+    sig = np.ascontiguousarray(assignments, dtype=np.intp)
     w = batch.weights
     num_p = sig.shape[0]
-    loads = xp.zeros((len(batch), num_p, m))
+    loads = np.zeros((len(batch), num_p, m))
     for link in range(m):
         loads[:, :, link] = (w[:, None, :] * (sig == link)[None, :, :]).sum(axis=2)
     loads += batch.initial_traffic[:, None, :]
-    chosen_load = xp.take_along_axis(loads, sig[None, :, :], axis=2)
+    chosen_load = np.take_along_axis(loads, sig[None, :, :], axis=2)
     chosen_cap = batch.capacities[:, np.arange(n)[None, :], sig]  # (B, P, n)
     return sig, chosen_load / chosen_cap
 
@@ -141,13 +139,12 @@ def batch_social_optima(
         )
     if assignments is None:
         assignments = enumerate_assignments(batch.num_users, batch.num_links)
-    xp = get_backend()
-    best1 = xp.full(len(batch), np.inf)
-    best2 = xp.full(len(batch), np.inf)
+    best1 = np.full(len(batch), np.inf)
+    best2 = np.full(len(batch), np.inf)
     for lo in range(0, assignments.shape[0], PROFILE_BLOCK):
         _, lat = batch_all_pure_latencies(batch, assignments[lo : lo + PROFILE_BLOCK])
-        xp.minimum(best1, lat.sum(axis=2).min(axis=1), out=best1)
-        xp.minimum(best2, lat.max(axis=2).min(axis=1), out=best2)
+        np.minimum(best1, lat.sum(axis=2).min(axis=1), out=best1)
+        np.minimum(best2, lat.max(axis=2).min(axis=1), out=best2)
     return best1, best2
 
 
@@ -195,7 +192,6 @@ def batch_equilibrium_profiles(
     the fully mixed point — the order the sequential ``poa_study``
     evaluated them in.
     """
-    xp = get_backend()
     n, m = batch.num_users, batch.num_links
     total = m**n
     if total > MAX_EXHAUSTIVE_PROFILES:
@@ -233,25 +229,25 @@ def batch_equilibrium_profiles(
             onehot=_block_onehot(n, m, lo, hi, sig) if canonical else None,
         )  # (B, block)
         num_pure += mask.sum(axis=1)
-        block_game, block_row = xp.nonzero(mask)
+        block_game, block_row = np.nonzero(mask)
         game_parts.append(block_game)
         row_parts.append(block_row + lo)
-    pure_game = xp.concatenate(game_parts)
-    pure_row = xp.concatenate(row_parts)
+    pure_game = np.concatenate(game_parts)
+    pure_row = np.concatenate(row_parts)
     onehot = np.zeros((pure_game.size, n, m))
     onehot[np.arange(pure_game.size)[:, None],
            np.arange(n)[None, :],
            assignments[pure_row]] = 1.0
 
-    fm_games = xp.flatnonzero(fm.exists)
+    fm_games = np.flatnonzero(fm.exists)
     fm_probs = normalize_rows(fm.probabilities[fm_games])
 
-    game_index = xp.concatenate([pure_game, fm_games])
-    probabilities = xp.concatenate([onehot, fm_probs]) if fm_games.size else onehot
+    game_index = np.concatenate([pure_game, fm_games])
+    probabilities = np.concatenate([onehot, fm_probs]) if fm_games.size else onehot
     # Stable sort keeps each game's pure NE first, FMNE last — the
     # sequential evaluation order (irrelevant to the max-reductions
     # downstream, but it keeps differential tests straightforward).
-    order = xp.argsort(game_index, kind="stable")
+    order = np.argsort(game_index, kind="stable")
     return EquilibriumStack(
         game_index=game_index[order],
         probabilities=probabilities[order],

@@ -47,7 +47,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from repro.batch.backend import get_backend
+from repro.batch.backend import active_hooks
 from repro.batch.container import GameBatch
 from repro.batch.dynamics import batch_best_response_dynamics, deviation_slab
 from repro.batch.kernels import _all_assignments, _profile_block
@@ -102,9 +102,9 @@ def _scatter_loads(
     iteration pass a preallocated ``(A, num_links)`` buffer via *out* to
     skip the per-step allocation.
     """
-    xp = get_backend()
-    if xp.scatter_loads is not None:
-        loads = xp.scatter_loads(sigma, weights, num_links, initial_traffic)
+    hooks = active_hooks()
+    if hooks.scatter_loads is not None:
+        loads = hooks.scatter_loads(sigma, weights, num_links, initial_traffic)
         if out is not None:
             out[:] = loads
             return out
@@ -114,7 +114,7 @@ def _scatter_loads(
         loads = out
         loads[:] = 0.0
     else:
-        loads = xp.zeros((a, num_links))
+        loads = np.zeros((a, num_links))
     rows = np.arange(a)
     for i in range(n):
         loads[rows, sigma[:, i]] += weights[:, i]
@@ -220,7 +220,7 @@ def batch_nashify_common_beliefs(
     :class:`~repro.errors.ConvergenceError` (same budget semantics as
     the single-game loop).
     """
-    xp = get_backend()
+    hooks = active_hooks()
     weights, capacities = batch.weights, batch.capacities
     traffic = batch.initial_traffic
     caps_row = _require_common_beliefs(capacities)
@@ -234,11 +234,11 @@ def batch_nashify_common_beliefs(
     sc2_before = lat0.max(axis=1)
     congestion_before = (loads0 / caps_row).max(axis=1)
 
-    if xp.nashify_common_loop is not None:
+    if hooks.nashify_common_loop is not None:
         # Fused backend stepper: per-game sequential loops reproducing
         # the lockstep trajectory move for move (same defector and
         # target tie-breaks). May decline (None) for the generic path.
-        fused = xp.nashify_common_loop(
+        fused = hooks.nashify_common_loop(
             sigma, weights, capacities, caps_row, traffic, max_steps
         )
     else:
@@ -259,7 +259,7 @@ def batch_nashify_common_beliefs(
 
         iteration = 0
         while active.any() and iteration < max_steps:
-            idx = xp.flatnonzero(active)
+            idx = np.flatnonzero(active)
             a = idx.size
             sig_a = sigma[idx]
             w_a = weights[idx]
@@ -275,7 +275,7 @@ def batch_nashify_common_beliefs(
             )
             rows = np.arange(a)
             current = dev[rows[:, None], user_cols, sig_a]
-            scale = xp.maximum(current, 1.0)
+            scale = np.maximum(current, 1.0)
             improving = dev.min(axis=-1) < current - 1e-9 * scale  # (A, n)
             has_mover = improving.any(axis=-1)
 
@@ -295,13 +295,13 @@ def batch_nashify_common_beliefs(
 
             congestion = loads / caps_row[act]
             worst = congestion >= congestion.max(axis=1, keepdims=True) * (1 - 1e-12)
-            on_worst = improving & xp.take_along_axis(worst, sig_a, axis=1)
+            on_worst = improving & np.take_along_axis(worst, sig_a, axis=1)
             any_worst = on_worst.any(axis=1)
-            user = xp.where(
-                any_worst, xp.argmax(on_worst, axis=1), xp.argmax(improving, axis=1)
+            user = np.where(
+                any_worst, np.argmax(on_worst, axis=1), np.argmax(improving, axis=1)
             )
             rows = np.arange(act.size)
-            target = xp.argmin(dev[rows, user], axis=1)
+            target = np.argmin(dev[rows, user], axis=1)
             sigma[act, user] = target
             steps[act] += 1
             iteration += 1
@@ -666,16 +666,16 @@ def batch_response_cycle_census(
             f"census would peel {b} * {total} = {b * total} nodes at once "
             f"(limit {MAX_CENSUS_NODES}); split the batch"
         )
-    xp = get_backend()
+    hooks = active_hooks()
     weights, capacities = batch.weights, batch.capacities
     traffic = batch.initial_traffic
     assignments = _all_assignments(n, m)
 
-    if xp.census_cycle is not None:
+    if hooks.census_cycle is not None:
         # Fused backend census: per-game edge extraction + Kahn peel
         # recomputing edges on the fly instead of materialising the
         # flattened stack. May decline (None) for the generic path.
-        fused = xp.census_cycle(
+        fused = hooks.census_cycle(
             assignments, weights, capacities, traffic, kind == "best", tol
         )
         if fused is not None:
@@ -699,16 +699,16 @@ def batch_response_cycle_census(
         dev = loads[:, :, None, :] + weights[:, None, :, None]
         dev[:, cols[:, None], users[0], sig] -= weights[:, None, :]
         dev /= capacities[:, None, :, :]
-        current = xp.take_along_axis(dev, sig[None, :, :, None], axis=3)[..., 0]
-        scale = xp.maximum(current, 1.0)
+        current = np.take_along_axis(dev, sig[None, :, :, None], axis=3)[..., 0]
+        scale = np.maximum(current, 1.0)
         improving = dev < (current - tol * scale)[..., None]
         if kind == "best":
             best = dev.min(axis=-1)
-            threshold = best + tol * xp.maximum(best, 1.0)
+            threshold = best + tol * np.maximum(best, 1.0)
             targets = improving & (dev <= threshold[..., None])
         else:
             targets = improving
-        gb, ps, us, ls = xp.nonzero(targets)
+        gb, ps, us, ls = np.nonzero(targets)
         if gb.size:
             src = gb * total + (ps + lo)
             dst = src + (ls - sig[ps, us]) * place[us]
@@ -718,19 +718,19 @@ def batch_response_cycle_census(
     remaining = np.full(b, total, dtype=np.int64)
     if not src_parts:
         return np.zeros(b, dtype=bool)
-    src_all = xp.concatenate(src_parts)
-    dst_all = xp.concatenate(dst_parts)
+    src_all = np.concatenate(src_parts)
+    dst_all = np.concatenate(dst_parts)
     num_nodes = b * total
-    indeg = xp.bincount(dst_all, minlength=num_nodes)
-    order = xp.argsort(src_all, kind="stable")
+    indeg = np.bincount(dst_all, minlength=num_nodes)
+    order = np.argsort(src_all, kind="stable")
     dst_sorted = dst_all[order]
-    counts = xp.bincount(src_all, minlength=num_nodes)
+    counts = np.bincount(src_all, minlength=num_nodes)
     indptr = np.zeros(num_nodes + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
 
-    frontier = xp.flatnonzero(indeg == 0)
+    frontier = np.flatnonzero(indeg == 0)
     while frontier.size:
-        remaining -= xp.bincount(frontier // total, minlength=b)
+        remaining -= np.bincount(frontier // total, minlength=b)
         starts = indptr[frontier]
         lengths = indptr[frontier + 1] - starts
         total_out = int(lengths.sum())
@@ -745,8 +745,8 @@ def batch_response_cycle_census(
         idx[ends[:-1]] = starts[1:] - (starts[:-1] + lengths[:-1] - 1)
         np.cumsum(idx, out=idx)
         dsts = dst_sorted[idx]
-        indeg -= xp.bincount(dsts, minlength=num_nodes)
-        candidates = xp.unique(dsts)
+        indeg -= np.bincount(dsts, minlength=num_nodes)
+        candidates = np.unique(dsts)
         frontier = candidates[indeg[candidates] == 0]
 
     return remaining > 0

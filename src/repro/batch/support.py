@@ -41,7 +41,6 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.batch.backend import get_backend
 from repro.batch.mixed import batch_is_mixed_nash, normalize_rows
 from repro.errors import DimensionError, ModelError
 from repro.model.profiles import MixedProfile
@@ -197,19 +196,18 @@ def _min_norm_stacked(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     proposed — which the downstream residual / Nash checks vet either
     way.
     """
-    xp = get_backend()
     try:
-        u, s, vt = xp.linalg.svd(a, full_matrices=False)
+        u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError:  # pragma: no cover - svd rarely fails
         out = np.empty_like(rhs)
         for idx in range(a.shape[0]):
-            out[idx] = xp.linalg.lstsq(a[idx], rhs[idx], rcond=None)[0]
+            out[idx] = np.linalg.lstsq(a[idx], rhs[idx], rcond=None)[0]
         return out
     cutoff = np.finfo(a.dtype).eps * max(a.shape[-2:]) * s[..., :1]
     keep = s > cutoff
-    s_inv = xp.where(keep, 1.0 / xp.where(keep, s, 1.0), 0.0)
-    utb = xp.matmul(xp.swapaxes(u, -2, -1), rhs[..., None])[..., 0]
-    return xp.matmul(xp.swapaxes(vt, -2, -1), (s_inv * utb)[..., None])[..., 0]
+    s_inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+    utb = np.matmul(np.swapaxes(u, -2, -1), rhs[..., None])[..., 0]
+    return np.matmul(np.swapaxes(vt, -2, -1), (s_inv * utb)[..., None])[..., 0]
 
 
 def _solve_stacked(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -222,12 +220,11 @@ def _solve_stacked(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     an exactly-zero pivot is exactly ``det == 0``) and routed to the
     batched min-norm solve instead of a per-slice Python fallback loop.
     """
-    xp = get_backend()
     out = np.empty_like(rhs)
-    regular = xp.linalg.det(a) != 0.0
+    regular = np.linalg.det(a) != 0.0
     if regular.any():
         try:
-            out[regular] = xp.linalg.solve(
+            out[regular] = np.linalg.solve(
                 a[regular], rhs[regular][..., None]
             )[..., 0]
         except np.linalg.LinAlgError:  # pragma: no cover - det screen missed
@@ -256,18 +253,17 @@ def batch_enumerate_mixed_nash(
     ``(B, n)``, ``capacities`` ``(B, n, m)``, optional
     ``initial_traffic`` ``(B, m)``.
     """
-    xp = get_backend()
-    w = xp.asarray(weights, dtype=np.float64)
-    caps = xp.asarray(capacities, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    caps = np.asarray(capacities, dtype=np.float64)
     if caps.ndim != 3:
         raise DimensionError(f"capacities must have shape (B, n, m), got {caps.shape}")
     batch, n, m = caps.shape
     if w.shape != (batch, n):
         raise DimensionError(f"weights must have shape ({batch}, {n}), got {w.shape}")
     if initial_traffic is None:
-        t = xp.zeros((batch, m))
+        t = np.zeros((batch, m))
     else:
-        t = xp.asarray(initial_traffic, dtype=np.float64)
+        t = np.asarray(initial_traffic, dtype=np.float64)
         if t.shape != (batch, m):
             raise DimensionError(
                 f"initial_traffic must have shape ({batch}, {m}), got {t.shape}"
@@ -297,10 +293,10 @@ def batch_enumerate_mixed_nash(
             a.reshape(p_count * batch, k, k), rhs.reshape(p_count * batch, k)
         ).reshape(p_count, batch, k)
 
-        good = xp.isfinite(sol).all(axis=-1)
-        residual = xp.linalg.norm(xp.matmul(a, sol[..., None])[..., 0] - rhs, axis=-1)
-        rhs_norm = xp.linalg.norm(rhs, axis=-1)
-        good &= residual <= 1e-7 * xp.maximum(1.0, rhs_norm)
+        good = np.isfinite(sol).all(axis=-1)
+        residual = np.linalg.norm(np.matmul(a, sol[..., None])[..., 0] - rhs, axis=-1)
+        rhs_norm = np.linalg.norm(rhs, axis=-1)
+        good &= residual <= 1e-7 * np.maximum(1.0, rhs_norm)
 
         probs = np.zeros((p_count, batch, n * m))
         probs[group.ps_p, :, group.ps_im] = sol[group.ps_p, :, group.ps_col]
@@ -318,16 +314,16 @@ def batch_enumerate_mixed_nash(
         # Renormalise away numerical slack (exactly _solve_support's ops),
         # then apply MixedProfile's clip+renormalise once more: Nash
         # verification and dedupe see the matrix a MixedProfile stores.
-        pm = xp.clip(probs.reshape(p_count, batch, n, m), 0.0, None)
+        pm = np.clip(probs.reshape(p_count, batch, n, m), 0.0, None)
         sums = pm.sum(axis=-1, keepdims=True)
         good &= (sums[..., 0] > 0).all(axis=-1)
-        pm = pm / xp.where(sums <= 0, 1.0, sums)
+        pm = pm / np.where(sums <= 0, 1.0, sums)
         # Rejected candidates may hold all-zero rows; mask them to a
         # harmless constant so the row renormalisation stays finite
         # (good slices are untouched bit for bit).
-        pm2 = normalize_rows(xp.where(good[..., None, None], pm, 1.0))
+        pm2 = normalize_rows(np.where(good[..., None, None], pm, 1.0))
 
-        p_idx, b_idx = xp.nonzero(good)
+        p_idx, b_idx = np.nonzero(good)
         if p_idx.size == 0:
             continue
         verdicts = batch_is_mixed_nash(

@@ -25,8 +25,8 @@ Subcommands:
   then replay verdicts from the merged store with ``run/report
   --store ... --resume``;
 * ``--backend``          — array backend for the batch kernels (numpy
-  reference, numba JIT, optional GPU backends; also exported through
-  ``REPRO_BACKEND`` so process-pool workers inherit it).
+  reference or numba JIT; also exported through ``REPRO_BACKEND`` so
+  process-pool workers inherit it).
 
 Output is the same ASCII tables EXPERIMENTS.md records, plus an overall
 verdict; the process exit code is non-zero when any experiment fails,
@@ -102,21 +102,26 @@ def _add_backend_flag(parser: argparse.ArgumentParser) -> None:
 
 
 def _select_backend(name: str | None, parser: argparse.ArgumentParser) -> None:
-    """Activate ``--backend`` (and propagate it to worker processes)."""
-    if name is None:
-        return
+    """Resolve ``--backend`` (else ``$REPRO_BACKEND``) before any work.
+
+    An unknown or unavailable name is a usage error here rather than a
+    traceback from the first kernel call. An explicit flag is exported
+    so process-pool workers inherit it.
+    """
     import os
 
-    from repro.batch.backend import ENV_VAR, set_backend
+    from repro.batch.backend import ENV_VAR, active_name, set_backend
     from repro.errors import BackendError
 
     try:
-        set_backend(name)
+        if name is None:
+            active_name()
+        else:
+            set_backend(name)
     except BackendError as exc:
         parser.error(str(exc))
-    # Process-pool campaign workers resolve the backend from the
-    # environment; exporting keeps their choice in lockstep with ours.
-    os.environ[ENV_VAR] = name
+    if name is not None:
+        os.environ[ENV_VAR] = name
 
 
 def _add_runtime_flags(

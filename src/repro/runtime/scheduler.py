@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Union
 
-from repro.batch.backend import get_backend
+from repro.batch.backend import active_name
 from repro.errors import BackendError
 from repro.runtime.spec import ShardPlan, SweepSpec
 from repro.runtime.store import ResultStore, canonical_payload
@@ -65,7 +65,7 @@ def _chunk_record(
         "m": chunk.num_links,
         "rep_lo": chunk.rep_lo,
         "rep_hi": chunk.rep_hi,
-        "backend": get_backend().name,
+        "backend": active_name(),
         "payload": payload,
     }
 
@@ -125,7 +125,7 @@ def run_sweep(
         if store is None:
             raise ValueError("resume=True requires a result store")
         stored = store.load_records()
-        backend_name = get_backend().name
+        backend_name = active_name()
         for i, chunk in enumerate(chunks):
             key = (
                 spec.experiment,

@@ -22,7 +22,8 @@ requests per connection and match the (possibly reordered) responses:
   non-convergence flag;
 * ``{"op": "stats"}`` → batcher/cache counters;
 * ``{"op": "info"}`` → deployment facts: the array backend solving the
-  queries and which backends this host could offer;
+  queries (``numpy`` or ``numba``) and which of the two this host can
+  offer;
 * ``{"op": "ping"}`` → liveness;
 * ``{"op": "shutdown"}`` → acknowledges, then gracefully stops the
   server (drains in-flight batches first).
@@ -31,7 +32,8 @@ Every ``solve`` line becomes its own task, so one pipelining connection
 generates genuinely concurrent requests for the
 :class:`~repro.service.batcher.DynamicBatcher` to coalesce; malformed
 lines produce ``{"ok": false, "error": ...}`` instead of killing the
-connection.
+connection. A line longer than :data:`LINE_LIMIT` bytes is answered with
+an error and then the connection closes, since its framing is lost.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import functools
 import json
 from typing import Any
 
-from repro.batch.backend import available_backends, get_backend
+from repro.batch.backend import active_name, available_backends
 from repro.batch.fixpoint import DEFAULT_MAX_ROUNDS
 from repro.runtime.store import canonical_dumps, canonical_loads
 from repro.service.batcher import DynamicBatcher, Solver
@@ -54,6 +56,10 @@ from repro.service.query import (
 )
 
 __all__ = ["EquilibriumServer"]
+
+#: Longest accepted request line: asyncio's default stream limit, passed
+#: explicitly so the error message names the enforced value.
+LINE_LIMIT = 2**16
 
 
 class EquilibriumServer:
@@ -107,7 +113,7 @@ class EquilibriumServer:
     async def start(self) -> None:
         """Bind and start accepting connections (port 0 picks a free one)."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=LINE_LIMIT
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -137,7 +143,7 @@ class EquilibriumServer:
     def stats(self) -> dict[str, Any]:
         return {
             "connections": self.connections,
-            "backend": get_backend().name,
+            "backend": active_name(),
             **self.batcher.stats(),
             "fixpoint": self.fixpoint_batcher.stats(),
         }
@@ -145,7 +151,7 @@ class EquilibriumServer:
     def info(self) -> dict[str, Any]:
         """Deployment facts: which backend answers, what the host offers."""
         return {
-            "backend": get_backend().name,
+            "backend": active_name(),
             "backends": available_backends(),
         }
 
@@ -173,7 +179,15 @@ class EquilibriumServer:
 
         try:
             while not reader.at_eof():
-                raw = await reader.readline()
+                try:
+                    raw = await reader.readline()
+                except ValueError:
+                    # The line overran the stream limit; the rest of it
+                    # is still unread, so the framing is lost: answer,
+                    # then close the connection.
+                    error = f"request line exceeds {LINE_LIMIT} bytes"
+                    await respond({"ok": False, "error": error})
+                    break
                 if not raw:
                     break
                 task = asyncio.ensure_future(handle_line(raw))

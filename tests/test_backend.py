@@ -1,20 +1,19 @@
-"""Tests for the pluggable array-backend seam (``repro.batch.backend``).
+"""Tests for backend selection (``repro.batch.backend``).
 
-Covers the registry and resolution machinery (unknown names list the
-registered choices, env-var vs explicit-selection precedence, the
-register/replace/unregister round trip), the protocol completeness
-check, backend provenance in the result store and the service ``info``
-op, the CLI ``--backend`` flag, and — where the optional packages are
-installed — tolerance-based differential tests certifying the numba
-JIT backend against the NumPy reference, including a hypothesis
-property test that the nashification and dynamics steppers agree with
-the reference trajectory state for state. On hosts without numba /
-cupy / jax those classes skip with a visible reason instead of
-failing.
+Covers resolution (unknown names list the known choices, env-var vs
+explicit-selection precedence, resolve-once caching), the numpy hook
+table, backend provenance in the result store and the service ``info``
+op, the CLI ``--backend`` flag and ``REPRO_BACKEND`` validation, and —
+where numba is installed — tolerance-based differential tests
+certifying the numba JIT hooks against the NumPy reference, including
+a hypothesis property test that the nashification and dynamics
+steppers agree with the reference trajectory state for state. Without
+numba that class skips with a visible reason instead of failing.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 
@@ -24,19 +23,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.batch.backend import (
-    DEFAULT_BACKEND,
     ENV_VAR,
-    FUSED_HOOKS,
-    OPTIONAL_BACKENDS,
-    PROTOCOL_OPS,
-    ArrayBackend,
+    FusedHooks,
+    active_hooks,
+    active_name,
     available_backends,
-    backend_names,
-    check_protocol,
-    get_backend,
-    register_backend,
     set_backend,
-    unregister_backend,
     use_backend,
 )
 from repro.batch.container import GameBatch
@@ -56,7 +48,7 @@ from repro.generators.suites import GridCell
 from repro.runtime import SweepSpec, run_sweep
 from repro.runtime.store import ResultStore
 
-NUMBA_AVAILABLE = available_backends().get("numba", False)
+NUMBA_AVAILABLE = available_backends()["numba"]
 needs_numba = pytest.mark.skipif(
     not NUMBA_AVAILABLE,
     reason="numba not installed — JIT backend unavailable "
@@ -67,7 +59,7 @@ needs_numba = pytest.mark.skipif(
 @pytest.fixture(autouse=True)
 def _pristine_backend_state(monkeypatch):
     """Every test starts and ends on default resolution (no explicit
-    selection, no env var) with no leftover test registrations."""
+    selection, no env var)."""
     monkeypatch.delenv(ENV_VAR, raising=False)
     set_backend(None)
     yield
@@ -75,14 +67,6 @@ def _pristine_backend_state(monkeypatch):
     # ``main --backend`` exports the env var; monkeypatch only restores
     # what it touched, so drop any value a test left behind.
     os.environ.pop(ENV_VAR, None)
-    for name in backend_names():
-        if name not in (DEFAULT_BACKEND, *OPTIONAL_BACKENDS):
-            unregister_backend(name)
-
-
-def _mirror_factory() -> ArrayBackend:
-    """A distinguishable backend that is numerically the reference."""
-    return ArrayBackend(module=np, name="mirror")
 
 
 # ---------------------------------------------------------------------- #
@@ -92,111 +76,76 @@ def _mirror_factory() -> ArrayBackend:
 
 class TestResolution:
     def test_default_is_numpy(self):
-        backend = get_backend()
-        assert backend.name == "numpy"
-        assert backend.module is np
-        assert backend.bincount is np.bincount  # delegation, not a copy
+        assert active_name() == "numpy"
+        assert active_hooks() == FusedHooks()
 
-    def test_unknown_name_lists_registered_choices(self):
+    def test_unknown_name_lists_known_choices(self):
         with pytest.raises(BackendError) as excinfo:
-            get_backend("fortran77")
+            set_backend("fortran77")
         message = str(excinfo.value)
         assert "unknown array backend 'fortran77'" in message
-        for name in backend_names():
-            assert name in message
+        assert "numba, numpy" in message
 
     def test_env_var_selects_backend(self, monkeypatch):
-        register_backend("mirror", _mirror_factory)
-        monkeypatch.setenv(ENV_VAR, "mirror")
-        assert get_backend().name == "mirror"
+        monkeypatch.setenv(ENV_VAR, "bogus")
+        with pytest.raises(BackendError, match="unknown array backend 'bogus'"):
+            active_name()
+        monkeypatch.setenv(ENV_VAR, "numpy")
+        set_backend(None)
+        assert active_name() == "numpy"
 
     def test_explicit_selection_beats_env_var(self, monkeypatch):
-        register_backend("mirror", _mirror_factory)
-        monkeypatch.setenv(ENV_VAR, "mirror")
+        monkeypatch.setenv(ENV_VAR, "bogus")
         set_backend("numpy")
-        assert get_backend().name == "numpy"
+        assert active_name() == "numpy"
         # Clearing the explicit choice returns resolution to the env var.
         set_backend(None)
-        assert get_backend().name == "mirror"
+        with pytest.raises(BackendError, match="'bogus'"):
+            active_name()
 
     def test_set_backend_fails_eagerly_and_keeps_selection(self):
         with pytest.raises(BackendError, match="unknown array backend"):
             set_backend("not-a-backend")
-        assert get_backend().name == "numpy"
+        assert active_name() == "numpy"
 
-    def test_use_backend_restores_previous_selection(self):
-        register_backend("mirror", _mirror_factory)
-        set_backend("mirror")
-        with use_backend("numpy") as backend:
-            assert backend.name == "numpy"
-            assert get_backend().name == "numpy"
-        assert get_backend().name == "mirror"
+    def test_use_backend_restores_previous_selection(self, monkeypatch):
+        monkeypatch.setenv(ENV_VAR, "bogus")
+        with use_backend("numpy") as hooks:
+            assert hooks == FusedHooks()
+            assert active_name() == "numpy"
+        # Restored to "unresolved", so the env var is consulted again.
+        with pytest.raises(BackendError, match="'bogus'"):
+            active_name()
 
-    def test_instances_are_cached(self):
-        assert get_backend("numpy") is get_backend("numpy")
-
-
-# ---------------------------------------------------------------------- #
-# registry round trip and protocol
-# ---------------------------------------------------------------------- #
-
-
-class TestRegistry:
-    def test_register_unregister_round_trip(self):
-        register_backend("mirror", _mirror_factory)
-        assert "mirror" in backend_names()
-        assert available_backends()["mirror"] is True
-        first = get_backend("mirror")
-        assert first is get_backend("mirror")
-
-        with pytest.raises(BackendError, match="already registered"):
-            register_backend("mirror", _mirror_factory)
-        # replace=True swaps the factory and drops the cached instance.
-        register_backend("mirror", _mirror_factory, replace=True)
-        assert get_backend("mirror") is not first
-
-        unregister_backend("mirror")
-        assert "mirror" not in backend_names()
-        with pytest.raises(BackendError, match="unknown array backend"):
-            get_backend("mirror")
-
-    def test_numpy_cannot_be_unregistered(self):
-        with pytest.raises(BackendError, match="cannot be removed"):
-            unregister_backend("numpy")
-        assert "numpy" in backend_names()
-
-    def test_optional_backends_always_reported(self):
-        status = available_backends()
-        for name in OPTIONAL_BACKENDS:
-            assert name in status
-        import importlib.util
-
-        for gpu in ("cupy", "jax"):
-            if importlib.util.find_spec(gpu) is None:
-                assert status[gpu] is False
-
-    def test_probe_controls_availability(self):
-        register_backend("mirror", _mirror_factory, probe=lambda: False)
-        assert available_backends()["mirror"] is False
-        # An unavailable probe does not block instantiation by name —
-        # availability is a report, the factory is the gate.
-        assert get_backend("mirror").name == "mirror"
-
-    def test_numpy_backend_protocol_complete(self):
-        assert check_protocol(get_backend("numpy")) == []
+    def test_resolved_once_until_cleared(self, monkeypatch):
+        hooks = active_hooks()
+        monkeypatch.setenv(ENV_VAR, "bogus")
+        assert active_hooks() is hooks
+        assert active_name() == "numpy"
+        set_backend(None)
+        with pytest.raises(BackendError, match="'bogus'"):
+            active_name()
 
     def test_fused_hooks_default_to_generic_path(self):
-        backend = get_backend("numpy")
-        for hook in FUSED_HOOKS:
-            assert getattr(backend, hook) is None
+        assert len(FusedHooks._fields) == 7
+        with use_backend("numpy") as hooks:
+            assert all(hook is None for hook in hooks)
 
-    def test_protocol_detects_missing_ops(self):
-        class Hollow:
-            pass
+    def test_available_backends_reports_both(self):
+        status = available_backends()
+        assert status == {
+            "numpy": True,
+            "numba": importlib.util.find_spec("numba") is not None,
+        }
 
-        missing = check_protocol(ArrayBackend(module=Hollow(), name="hollow"))
-        assert set(PROTOCOL_OPS) <= set(missing)
-        assert "linalg" in missing
+    def test_numba_selectable_iff_available(self):
+        if NUMBA_AVAILABLE:
+            with use_backend("numba"):
+                assert active_name() == "numba"
+        else:
+            with pytest.raises(BackendError, match="pip install"):
+                set_backend("numba")
+            assert active_name() == "numpy"
 
 
 # ---------------------------------------------------------------------- #
@@ -228,22 +177,25 @@ class TestStoreProvenance:
             assert record["payload"]["n"] == 2
 
     def test_resume_rejects_backend_mismatch(self, tmp_path):
-        register_backend("mirror", _mirror_factory)
         path = tmp_path / "store.jsonl"
-        with use_backend("mirror"):
-            run_sweep(_provenance_spec(), batch_size=2, store=path)
+        run_sweep(_provenance_spec(), batch_size=2, store=path)
+        relabelled = []
+        for line in path.read_text().splitlines():
+            record = json.loads(line)
+            record["backend"] = "numba"
+            relabelled.append(json.dumps(record))
+        path.write_text("\n".join(relabelled) + "\n")
         with pytest.raises(BackendError) as excinfo:
             run_sweep(
                 _provenance_spec(), batch_size=2, store=path, resume=True
             )
         message = str(excinfo.value)
-        assert "computed under backend 'mirror'" in message
-        assert "--backend mirror" in message
+        assert "computed under backend 'numba'" in message
+        assert "--backend numba" in message
 
     def test_resume_matching_backend_skips_chunks(self, tmp_path):
-        register_backend("mirror", _mirror_factory)
         path = tmp_path / "store.jsonl"
-        with use_backend("mirror"):
+        with use_backend("numpy"):
             run_sweep(_provenance_spec(), batch_size=2, store=path)
             resumed = run_sweep(
                 _provenance_spec(), batch_size=2, store=path, resume=True
@@ -295,9 +247,8 @@ class TestServiceInfo:
 
         info, stats = asyncio.run(scenario())
         assert info["backend"] == "numpy"
-        assert info["backends"]["numpy"] is True
-        for name in OPTIONAL_BACKENDS:
-            assert name in info["backends"]
+        assert info["backends"] == available_backends()
+        assert set(info["backends"]) == {"numpy", "numba"}
         assert stats["backend"] == "numpy"
 
 
@@ -316,12 +267,38 @@ class TestCliBackendFlag:
         assert "unknown array backend 'bogus'" in err
         assert "numpy" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "E1", "--quick"],
+            ["report", "--quick", "-o", "{tmp}/EXPERIMENTS.md"],
+            ["serve", "--port", "0"],
+        ],
+        ids=["run", "report", "serve"],
+    )
+    def test_unknown_env_backend_is_a_usage_error(
+        self, argv, monkeypatch, capsys, tmp_path
+    ):
+        """A stale ``REPRO_BACKEND`` fails argument handling (exit 2)
+        before any experiment runs or any socket binds."""
+        from repro.cli import main
+
+        monkeypatch.setenv(ENV_VAR, "cupy")
+        with pytest.raises(SystemExit) as excinfo:
+            main([arg.format(tmp=tmp_path) for arg in argv])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "unknown array backend 'cupy'" in captured.err
+        assert "numba, numpy" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "EXPERIMENTS.md").exists()
+
     def test_backend_flag_selects_and_exports(self, capsys):
         from repro.cli import main
 
         assert main(["run", "E8", "--quick", "--backend", "numpy"]) == 0
         # Explicit selection for this process, env export for workers.
-        assert get_backend().name == "numpy"
+        assert active_name() == "numpy"
         assert os.environ.get(ENV_VAR) == "numpy"
         assert "PASS" in capsys.readouterr().out
 
@@ -365,20 +342,10 @@ class TestNumbaDifferential:
     visible reason elsewhere.
     """
 
-    def test_numba_backend_protocol_complete(self):
-        backend = get_backend("numba")
-        assert backend.name == "numba"
-        assert check_protocol(backend) == []
-        for hook in (
-            "scatter_loads",
-            "count_pure_nash",
-            "exists_pure_nash",
-            "nashify_common_loop",
-            "dynamics_loop",
-            "census_cycle",
-            "fixpoint_loop",
-        ):
-            assert callable(getattr(backend, hook))
+    def test_numba_hooks_all_set(self):
+        with use_backend("numba") as hooks:
+            assert active_name() == "numba"
+        assert all(callable(hook) for hook in hooks)
 
     @settings(max_examples=25, deadline=None)
     @given(small_games())
@@ -528,7 +495,9 @@ class TestNumbaDifferential:
                 getattr(jit, name), getattr(reference, name), rtol=1e-12
             )
 
-        hook = get_backend("numba").nashify_common_loop
+        from repro.batch._numba_backend import NUMBA_HOOKS
+
+        hook = NUMBA_HOOKS.nashify_common_loop
         caps_row = batch.capacities[:, 0, :]
         for k in range(1, int(reference.steps.max()) + 1):
             partial, steps_k, _converged = hook(
@@ -551,41 +520,14 @@ class TestNumbaDifferential:
     def test_dynamics_hook_declines_huge_radix(self):
         """Cycle detection needs ``m**n`` profile codes in int64; past
         that the hook must decline so the generic path runs."""
-        backend = get_backend("numba")
+        from repro.batch._numba_backend import NUMBA_HOOKS
+
         b, n, m = 1, 41, 3  # 3**41 > 2**63
         sigma = np.zeros((b, n), dtype=np.intp)
         weights = np.ones((b, n))
         capacities = np.ones((b, n, m))
         traffic = np.zeros((b, m))
-        declined = backend.dynamics_loop(
+        declined = NUMBA_HOOKS.dynamics_loop(
             sigma, weights, capacities, traffic, True, False, 5, 1e-9, True
         )
         assert declined is None
-
-
-@pytest.mark.skipif(
-    not available_backends().get("cupy", False),
-    reason="cupy not installed — GPU backend unregistered on this host",
-)
-class TestCupyDifferential:  # pragma: no cover - needs CUDA host
-    def test_loads_agree_within_tolerance(self):
-        batch = GameBatch.from_seeds([0, 1], 3, 3)
-        sigma = _random_start(2, 3, 3, 0)
-        reference = batch_loads(sigma, batch.weights, 3)
-        with use_backend("cupy"):
-            gpu = np.asarray(batch_loads(sigma, batch.weights, 3))
-        np.testing.assert_allclose(gpu, reference, rtol=1e-10)
-
-
-@pytest.mark.skipif(
-    not available_backends().get("jax", False),
-    reason="jax not installed — GPU backend unregistered on this host",
-)
-class TestJaxDifferential:  # pragma: no cover - needs jax install
-    def test_loads_agree_within_tolerance(self):
-        batch = GameBatch.from_seeds([0, 1], 3, 3)
-        sigma = _random_start(2, 3, 3, 0)
-        reference = batch_loads(sigma, batch.weights, 3)
-        with use_backend("jax"):
-            accel = np.asarray(batch_loads(sigma, batch.weights, 3))
-        np.testing.assert_allclose(accel, reference, rtol=1e-6)

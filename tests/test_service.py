@@ -13,6 +13,8 @@ shape of the CI service-smoke job).
 from __future__ import annotations
 
 import asyncio
+import json
+import logging
 import os
 import re
 import subprocess
@@ -502,6 +504,42 @@ class TestEquilibriumServer:
         assert "unknown op" in replies[2]
         assert "exactly one" in replies[3]
         assert '"pong": true' in replies[4]
+
+    def test_oversized_line_is_answered_then_closed(self, capsys, caplog):
+        """A line past the stream limit gets a structured error, then the
+        connection closes (its framing is lost); the server stays up and
+        logs nothing."""
+        padded = b'{"op": "ping", "pad": "' + b"x" * 100_000 + b'"}\n'
+
+        async def scenario(server):
+            reader, writer = await asyncio.open_connection(
+                server.host, server.port
+            )
+            try:
+                writer.write(padded)
+                await writer.drain()
+                reply = await reader.readline()
+                rest = await reader.read()
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            client = await ServiceClient.connect(server.host, server.port)
+            try:
+                pong = await client.ping()
+            finally:
+                await client.close()
+            return reply, rest, pong
+
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            reply, rest, pong = asyncio.run(_with_server(scenario))
+        assert json.loads(reply) == {
+            "ok": False,
+            "error": "request line exceeds 65536 bytes",
+        }
+        assert rest == b""
+        assert pong is True
+        assert caplog.records == []
+        assert capsys.readouterr().err == ""
 
     def test_shutdown_op_stops_the_server(self):
         async def scenario():
