@@ -60,7 +60,7 @@ async def _batched_burst(requests):
     Returns the responses in request order plus each request's
     submit-to-result latency as the service's clients observe it.
     """
-    batcher = DynamicBatcher(max_batch=len(requests), max_delay_ms=50.0)
+    batcher = DynamicBatcher(max_batch=len(requests))
     loop = asyncio.get_running_loop()
 
     async def timed_submit(request):
@@ -72,6 +72,9 @@ async def _batched_burst(requests):
         *(timed_submit(request) for request in requests)
     )
     await batcher.close()
+    # The drain runs one loop turn after the first submit, by which time
+    # gather has started every submit: the burst is one solver call.
+    assert batcher.batches == 1
     return [response for response, _ in pairs], [lat for _, lat in pairs]
 
 

@@ -275,14 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch",
         type=_positive_int,
         default=64,
-        help="flush the pending window at this many distinct games",
-    )
-    serve_p.add_argument(
-        "--max-delay-ms",
-        type=float,
-        default=2.0,
-        help="flush the pending window after this many milliseconds "
-             "even if it is not full",
+        help="most distinct games in one solver call",
     )
     serve_p.add_argument(
         "--cache-size",
@@ -429,7 +422,6 @@ def _cmd_serve(
     host: str,
     port: int,
     max_batch: int,
-    max_delay_ms: float,
     cache_size: int,
     fixpoint_max_rounds: int | None,
 ) -> int:
@@ -446,7 +438,6 @@ def _cmd_serve(
             host,
             port,
             max_batch=max_batch,
-            max_delay_ms=max_delay_ms,
             cache_size=cache_size,
             fixpoint_max_rounds=fixpoint_max_rounds,
         )
@@ -454,8 +445,7 @@ def _cmd_serve(
         # The readiness line supervisors (and the CI smoke job) wait on.
         print(
             f"serving equilibria on {server.host}:{server.port} "
-            f"(max_batch={max_batch}, max_delay_ms={max_delay_ms}, "
-            f"cache_size={cache_size}, "
+            f"(max_batch={max_batch}, cache_size={cache_size}, "
             f"fixpoint_max_rounds={fixpoint_max_rounds}, "
             f"backend={server.info()['backend']})",
             flush=True,
@@ -487,7 +477,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             args.host,
             args.port,
             args.max_batch,
-            args.max_delay_ms,
             args.cache_size,
             args.fixpoint_max_rounds,
         )

@@ -11,9 +11,11 @@ The batch engine (PRs 1-4) runs offline campaigns; this package serves
   beyond-enumeration widths (the ``fixpoint`` op);
 * :mod:`repro.service.cache`   — content-addressed LRU of completed
   responses (repeat traffic is O(hash));
-* :mod:`repro.service.batcher` — dynamic batching: concurrent requests
-  coalesce into a window that flushes on ``max_batch`` or
-  ``max_delay_ms``, whichever first, with in-flight digest ride-along;
+* :mod:`repro.service.batcher` — dynamic batching: requests read in
+  one event-loop turn coalesce into a window that is solved on the
+  next turn, in slices of at most ``max_batch`` games, with in-flight
+  digest ride-along; the solves run on the loop (moving them off it is
+  ROADMAP item 3);
 * :mod:`repro.service.server`  — the JSON-lines asyncio TCP server
   (``repro-experiments serve``);
 * :mod:`repro.service.client`  — a pipelining asyncio client;

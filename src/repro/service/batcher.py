@@ -1,19 +1,16 @@
 """Inference-server-style dynamic batching for equilibrium queries.
 
-Concurrent :meth:`DynamicBatcher.submit` calls coalesce into one
-pending window that flushes to the solver when either trigger fires,
-whichever comes first:
-
-* **size** — ``max_batch`` distinct games are waiting;
-* **deadline** — ``max_delay_ms`` elapsed since the window opened
-  (the first request's arrival), so a lone request never waits longer
-  than the deadline.
-
-A flush hands the whole window to the solver seam
-(:func:`repro.service.query.solve_requests` by default), which stacks
-it into per-shape :class:`~repro.batch.container.GameBatch` sub-batches
-— one kernel pass per shape instead of one per request. Three
-de-duplication layers keep repeated traffic O(hash):
+Batching is work-conserving: the first :meth:`DynamicBatcher.submit`
+of a window schedules a drain with ``loop.call_soon``, so every request
+read during the same event-loop turn (pipelined lines, and lines from
+other connections woken by the same ``select``) joins the window, and
+an idle server answers a lone request on the next loop turn. No timer
+holds a window open. The drain hands the window to the solver seam
+(:func:`repro.service.query.solve_requests` by default) in slices of at
+most ``max_batch`` games; the seam stacks each slice into per-shape
+:class:`~repro.batch.container.GameBatch` sub-batches — one kernel pass
+per shape instead of one per request. Three de-duplication layers keep
+repeated traffic O(hash):
 
 1. completed responses come from the content-addressed
    :class:`~repro.service.cache.ResultCache` (when attached);
@@ -21,11 +18,9 @@ de-duplication layers keep repeated traffic O(hash):
    in-flight computation instead of enqueueing a duplicate game;
 3. only then does a digest claim a slot in the pending window.
 
-The solver runs synchronously inside the flush task: the kernels are
-CPU-bound NumPy, so handing them to a thread would only add latency
-jitter while the event loop keeps accepting requests between flushes
-(new arrivals buffer in the transport until the pass completes — the
-standard single-worker inference-server shape).
+Solves run synchronously on the event loop, so new arrivals buffer in
+the transport until a drain completes. Whether a thread or a process
+worker would pay for itself is an open measurement (ROADMAP item 3).
 """
 
 from __future__ import annotations
@@ -50,32 +45,22 @@ class DynamicBatcher:
         solver: Solver = solve_requests,
         *,
         max_batch: int = 64,
-        max_delay_ms: float = 2.0,
         cache: ResultCache | None = None,
     ) -> None:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
-        if max_delay_ms < 0:
-            raise ValueError(
-                f"max_delay_ms must be >= 0, got {max_delay_ms}"
-            )
         self._solver = solver
         self.max_batch = int(max_batch)
-        self.max_delay_ms = float(max_delay_ms)
         self.cache = cache
         self._pending: list[EquilibriumRequest] = []
-        #: digest -> futures awaiting it (pending *or* mid-flush).
+        #: digest -> futures awaiting it (pending *or* mid-solve).
         self._waiters: dict[str, list[asyncio.Future]] = {}
-        self._deadline: asyncio.TimerHandle | None = None
-        self._flushes: set[asyncio.Task] = set()
         self._closed = False
         # Counters for the ``stats`` op / benchmarks.
         self.requests = 0
         self.coalesced = 0
         self.batches = 0
         self.batched_games = 0
-        self.size_flushes = 0
-        self.deadline_flushes = 0
 
     async def submit(self, request: EquilibriumRequest) -> dict[str, Any]:
         """Resolve one query: cache, in-flight ride-along, or batch."""
@@ -95,33 +80,21 @@ class DynamicBatcher:
             return await future
         self._waiters[request.digest] = [future]
         self._pending.append(request)
-        if len(self._pending) >= self.max_batch:
-            self._flush("size")
-        elif self._deadline is None:
-            self._deadline = loop.call_later(
-                self.max_delay_ms / 1000.0, self._flush, "deadline"
-            )
+        # A drain empties the whole window, so a window's first game is
+        # the one that finds no drain scheduled.
+        if len(self._pending) == 1:
+            loop.call_soon(self._drain)
         return await future
 
-    def _flush(self, trigger: str) -> None:
-        """Move the pending window into a solver task."""
-        if self._deadline is not None:
-            self._deadline.cancel()
-            self._deadline = None
+    def _drain(self) -> None:
+        """Solve the pending window in slices of at most ``max_batch``."""
         window, self._pending = self._pending, []
-        if not window:
-            return
+        for start in range(0, len(window), self.max_batch):
+            self._solve(window[start : start + self.max_batch])
+
+    def _solve(self, window: list[EquilibriumRequest]) -> None:
         self.batches += 1
         self.batched_games += len(window)
-        if trigger == "size":
-            self.size_flushes += 1
-        else:
-            self.deadline_flushes += 1
-        task = asyncio.get_running_loop().create_task(self._solve(window))
-        self._flushes.add(task)
-        task.add_done_callback(self._flushes.discard)
-
-    async def _solve(self, window: list[EquilibriumRequest]) -> None:
         try:
             responses = self._solver(window)
         except Exception as exc:  # noqa: BLE001 - forwarded to every waiter
@@ -138,11 +111,9 @@ class DynamicBatcher:
                     future.set_result(response)
 
     async def close(self) -> None:
-        """Flush any open window and wait for in-flight passes."""
+        """Refuse new submits, then answer whatever is still pending."""
         self._closed = True
-        self._flush("size")
-        while self._flushes:
-            await asyncio.gather(*tuple(self._flushes), return_exceptions=True)
+        self._drain()
 
     def stats(self) -> dict[str, Any]:
         """Counter snapshot (cache counters ride along when attached)."""
@@ -151,8 +122,6 @@ class DynamicBatcher:
             "coalesced": self.coalesced,
             "batches": self.batches,
             "batched_games": self.batched_games,
-            "size_flushes": self.size_flushes,
-            "deadline_flushes": self.deadline_flushes,
             "pending": len(self._pending),
         }
         if self.cache is not None:

@@ -66,9 +66,10 @@ class ServiceClient:
         return response["result"]
 
     async def solve_many(
-        self, queries: Sequence[dict[str, Any]]
+        self, queries: Sequence[dict[str, Any]], op: str = "solve"
     ) -> list[dict[str, Any]]:
-        """Pipeline a burst of solves; results come back in query order.
+        """Pipeline a burst of *op* queries; results come back in query
+        order (*op* is ``"solve"`` or ``"fixpoint"``).
 
         All lines are written before any response is read, so the burst
         arrives at the server as concurrent requests — the load shape
@@ -79,7 +80,7 @@ class ServiceClient:
         for query in queries:
             self._next_id += 1
             ids.append(self._next_id)
-            message = {"op": "solve", "id": self._next_id, **query}
+            message = {"op": op, "id": self._next_id, **query}
             self._writer.write(
                 canonical_dumps(message).encode("utf-8") + b"\n"
             )

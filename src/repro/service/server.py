@@ -30,8 +30,11 @@ requests per connection and match the (possibly reordered) responses:
 
 Every ``solve`` line becomes its own task, so one pipelining connection
 generates genuinely concurrent requests for the
-:class:`~repro.service.batcher.DynamicBatcher` to coalesce; malformed
-lines produce ``{"ok": false, "error": ...}`` instead of killing the
+:class:`~repro.service.batcher.DynamicBatcher` to coalesce: every line
+read in one event-loop turn joins the window it drains on the next
+turn. The solves run on the event loop itself; whether moving them off
+it pays is an open measurement (ROADMAP item 3). Malformed lines
+produce ``{"ok": false, "error": ...}`` instead of killing the
 connection. A line longer than :data:`LINE_LIMIT` bytes is answered with
 an error and then the connection closes, since its framing is lost.
 """
@@ -71,7 +74,6 @@ class EquilibriumServer:
         port: int = 0,
         *,
         max_batch: int = 64,
-        max_delay_ms: float = 2.0,
         cache_size: int = 1024,
         solver: Solver = solve_requests,
         fixpoint_solver: Solver | None = None,
@@ -81,10 +83,7 @@ class EquilibriumServer:
         self.port = port
         self.cache = ResultCache(cache_size)
         self.batcher = DynamicBatcher(
-            solver,
-            max_batch=max_batch,
-            max_delay_ms=max_delay_ms,
-            cache=self.cache,
+            solver, max_batch=max_batch, cache=self.cache
         )
         # The fixpoint op gets its own batcher and cache: both ops key
         # responses by the same reduced-form digest, so sharing a cache
@@ -96,10 +95,7 @@ class EquilibriumServer:
             )
         self.fixpoint_cache = ResultCache(cache_size)
         self.fixpoint_batcher = DynamicBatcher(
-            fixpoint_solver,
-            max_batch=max_batch,
-            max_delay_ms=max_delay_ms,
-            cache=self.fixpoint_cache,
+            fixpoint_solver, max_batch=max_batch, cache=self.fixpoint_cache
         )
         self._server: asyncio.base_events.Server | None = None
         self._shutdown = asyncio.Event()

@@ -3,12 +3,14 @@
 ``python -m repro.service.smoke --port P`` connects to an already
 running :class:`~repro.service.server.EquilibriumServer`, pipelines a
 concurrent burst of solve queries in which every game appears twice
-(so the content-addressed cache *must* hit), then verifies:
+(so the content-addressed cache *must* hit) and a burst of ``fixpoint``
+queries, then verifies:
 
 * every response is well-formed and the duplicate answers are
   identical objects field for field;
-* the server's cache-hit counter is positive and at least one batch
-  coalesced more than one game;
+* the server's cache-hit counter is positive, and on each of the solve
+  and fixpoint batchers at least one batch coalesced more than one
+  game;
 * ``--shutdown`` (the CI default) stops the server cleanly so the
   supervising shell can ``wait`` on its exit code.
 
@@ -29,6 +31,9 @@ from repro.service.client import ServiceClient
 from repro.util.rng import stable_seed
 
 __all__ = ["main"]
+
+#: Distinct games in the pipelined ``fixpoint`` burst.
+FIXPOINT_GAMES = 8
 
 
 def _burst_queries(games: int) -> list[dict]:
@@ -56,7 +61,9 @@ async def _run(host: str, port: int, games: int, shutdown: bool) -> int:
             return 1
         # Wave 1: a pipelined concurrent burst — exercises the dynamic
         # batcher. Wave 2: the same queries again after wave 1 fully
-        # completed — every answer must now come from the cache.
+        # completed — every answer must now come from the cache. Wave 3:
+        # a pipelined fixpoint burst — exercises the fixpoint batcher
+        # (solve_many raises unless every answer is ok).
         queries = _burst_queries(games)
         results = await client.solve_many(queries)
         repeated = await client.solve_many(queries)
@@ -64,6 +71,9 @@ async def _run(host: str, port: int, games: int, shutdown: bool) -> int:
             if first != second:
                 print("smoke: repeated query answers differ", file=sys.stderr)
                 return 1
+        fixpoints = await client.solve_many(
+            queries[:FIXPOINT_GAMES], op="fixpoint"
+        )
         digests = {result["digest"] for result in results}
         if len(digests) != len(queries):
             print(
@@ -81,17 +91,19 @@ async def _run(host: str, port: int, games: int, shutdown: bool) -> int:
                 file=sys.stderr,
             )
             return 1
-        if stats["batched_games"] <= stats["batches"]:
-            print(
-                "smoke: no batch coalesced more than one game "
-                f"({stats['batched_games']} games in {stats['batches']} "
-                "batches)",
-                file=sys.stderr,
-            )
-            return 1
+        for op, counters in (("solve", stats), ("fixpoint", stats["fixpoint"])):
+            if counters["batched_games"] <= counters["batches"]:
+                print(
+                    f"smoke: no {op} batch coalesced more than one game "
+                    f"({counters['batched_games']} games in "
+                    f"{counters['batches']} batches)",
+                    file=sys.stderr,
+                )
+                return 1
         info = await client.info()
         print(
-            f"smoke ok: {len(results) + len(repeated)} responses, "
+            f"smoke ok: {len(results) + len(repeated) + len(fixpoints)} "
+            "responses, "
             f"{stats['batches']} batches ({stats['batched_games']} games), "
             f"{cache_hits} cache hits, {stats['coalesced']} coalesced, "
             f"backend {info['backend']}"

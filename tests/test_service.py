@@ -5,7 +5,7 @@ response — batched, coalesced, cached, or mixed-shape — is
 *bit-identical* to what the direct ``B = 1`` single-game APIs
 (`repro.equilibria`, `repro.analysis.poa`, `repro.model.social`) return
 for the same game. Plus unit coverage for the request spellings, the
-digest, the LRU cache, the dynamic batcher's two flush triggers, and a
+digest, the LRU cache, the dynamic batcher's work-conserving drain, and a
 full CLI ``serve`` + smoke-driver round trip in subprocesses (the exact
 shape of the CI service-smoke job).
 """
@@ -17,6 +17,8 @@ import json
 import logging
 import os
 import re
+import socket
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -45,6 +47,7 @@ from repro.service import (
     ResultCache,
     ServiceClient,
     game_digest,
+    solve_fixpoint_requests,
     solve_requests,
 )
 from repro.util.rng import stable_seed
@@ -330,14 +333,17 @@ class TestDynamicBatcher:
     def test_invalid_knobs(self):
         with pytest.raises(ValueError, match="max_batch"):
             DynamicBatcher(max_batch=0)
-        with pytest.raises(ValueError, match="max_delay_ms"):
-            DynamicBatcher(max_delay_ms=-1.0)
 
-    def test_size_flush_coalesces_concurrent_requests(self):
-        requests = [_request("size", 3, 3, i) for i in range(4)]
+    def test_window_is_sliced_at_max_batch(self):
+        requests = [_request("slice", 3, 3, i) for i in range(10)]
+        windows = []
+
+        def recording_solver(window):
+            windows.append([request.digest for request in window])
+            return solve_requests(window)
 
         async def scenario():
-            batcher = DynamicBatcher(max_batch=4, max_delay_ms=10_000.0)
+            batcher = DynamicBatcher(recording_solver, max_batch=4)
             results = await asyncio.gather(
                 *(batcher.submit(request) for request in requests)
             )
@@ -345,32 +351,35 @@ class TestDynamicBatcher:
             return batcher, results
 
         batcher, results = asyncio.run(scenario())
-        assert batcher.size_flushes == 1
-        assert batcher.deadline_flushes == 0
-        assert batcher.batches == 1
-        assert batcher.batched_games == 4
+        digests = [request.digest for request in requests]
+        assert windows == [digests[0:4], digests[4:8], digests[8:10]]
+        assert batcher.batches == 3
+        assert batcher.batched_games == 10
         for request, response in zip(requests, results):
             _check_differential(request, response)
 
-    def test_deadline_flush_releases_lone_request(self):
-        request = _request("deadline", 2, 2)
+    def test_lone_request_is_answered_without_a_timer(self):
+        request = _request("lone", 2, 2)
+
+        def no_timers(*args, **kwargs):
+            raise AssertionError("the batcher must not arm a timer")
 
         async def scenario():
-            batcher = DynamicBatcher(max_batch=64, max_delay_ms=1.0)
+            asyncio.get_running_loop().call_later = no_timers
+            batcher = DynamicBatcher(max_batch=64)
             result = await batcher.submit(request)
             await batcher.close()
             return batcher, result
 
         batcher, result = asyncio.run(scenario())
-        assert batcher.deadline_flushes == 1
-        assert batcher.size_flushes == 0
+        assert batcher.batches == 1
         _check_differential(request, result)
 
     def test_duplicate_digests_ride_along(self):
         request = _request("dup", 3, 3)
 
         async def scenario():
-            batcher = DynamicBatcher(max_batch=8, max_delay_ms=1.0)
+            batcher = DynamicBatcher(max_batch=8)
             first, second = await asyncio.gather(
                 batcher.submit(request), batcher.submit(request)
             )
@@ -388,9 +397,7 @@ class TestDynamicBatcher:
 
         async def scenario():
             cache = ResultCache(8)
-            batcher = DynamicBatcher(
-                max_batch=8, max_delay_ms=1.0, cache=cache
-            )
+            batcher = DynamicBatcher(max_batch=8, cache=cache)
             first = await batcher.submit(request)
             second = await batcher.submit(request)
             await batcher.close()
@@ -409,9 +416,7 @@ class TestDynamicBatcher:
             raise RuntimeError("kernel exploded")
 
         async def scenario():
-            batcher = DynamicBatcher(
-                exploding_solver, max_batch=2, max_delay_ms=10_000.0
-            )
+            batcher = DynamicBatcher(exploding_solver, max_batch=2)
             results = await asyncio.gather(
                 *(batcher.submit(request) for request in requests),
                 return_exceptions=True,
@@ -425,6 +430,28 @@ class TestDynamicBatcher:
             isinstance(r, RuntimeError) and "kernel exploded" in str(r)
             for r in results
         )
+
+    def test_cancelled_waiter_is_skipped(self, caplog):
+        """A waiter cancelled before the drain gets no result set on it
+        (the drain is a plain loop callback, so that would reach the
+        loop's exception handler), and its ride-alongs are answered."""
+        request = _request("cancel", 3, 3)
+
+        async def scenario():
+            batcher = DynamicBatcher()
+            abandoned = asyncio.ensure_future(batcher.submit(request))
+            kept = asyncio.ensure_future(batcher.submit(request))
+            await asyncio.sleep(0)  # both submitted, drain not yet run
+            abandoned.cancel()
+            result = await asyncio.wait_for(kept, timeout=10.0)
+            await batcher.close()
+            return abandoned, result
+
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            abandoned, result = asyncio.run(scenario())
+        assert abandoned.cancelled()
+        assert caplog.records == []
+        _check_differential(request, result)
 
     def test_closed_batcher_rejects_submits(self):
         async def scenario():
@@ -540,6 +567,53 @@ class TestEquilibriumServer:
         assert pong is True
         assert caplog.records == []
         assert capsys.readouterr().err == ""
+
+    def test_aborted_clients_leave_the_server_answering(self, caplog):
+        """Clients that reset their connections with fixpoint lines in
+        flight (one window, the duplicates riding along) leave no
+        asyncio error behind, and the server keeps answering."""
+        batch = GameBatch.from_seeds(
+            [stable_seed("svc-test", "abort", 16, 4)], 16, 4
+        )
+        payload = {
+            "weights": batch.weights[0].tolist(),
+            "capacities": batch.capacities[0].tolist(),
+        }
+        request = EquilibriumRequest.from_payload(payload, check_width=False)
+        line = json.dumps({"op": "fixpoint", **payload}).encode("utf-8")
+
+        async def scenario(server):
+            writers = [
+                (await asyncio.open_connection(server.host, server.port))[1]
+                for _ in range(3)
+            ]
+            for writer in writers:
+                # Linger 0: the abort resets the connection instead of
+                # closing it in order, as a crashed client would.
+                writer.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                )
+                writer.write((line + b"\n") * 3)
+            for writer in writers:
+                writer.transport.abort()
+            client = await ServiceClient.connect(server.host, server.port)
+            try:
+                pong = await client.ping()
+                answer = await client.request({"op": "fixpoint", **payload})
+                stats = await client.stats()
+            finally:
+                await client.close()
+            return pong, answer, stats
+
+        with caplog.at_level(logging.WARNING, logger="asyncio"):
+            pong, answer, stats = asyncio.run(_with_server(scenario))
+        assert pong is True
+        assert answer == {
+            "ok": True,
+            "result": solve_fixpoint_requests([request])[0],
+        }
+        assert stats["fixpoint"]["pending"] == 0
+        assert caplog.records == []
 
     def test_shutdown_op_stops_the_server(self):
         async def scenario():
