@@ -198,7 +198,13 @@ def _generic_fixpoint_loop(
     stall_rtol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The bit-parity reference round loop (see the hook contract on
-    :class:`~repro.batch.backend.FusedHooks`)."""
+    :class:`~repro.batch.backend.FusedHooks`).
+
+    Every per-user step works on ``(B, m)`` slices, so the cost of a
+    round is NumPy dispatch, not arithmetic: the loop keeps the number
+    of calls per user small (in-place updates, hoisted per-round terms,
+    views taken once) without changing a single result bit.
+    """
     b, n, m = caps.shape
     p = np.full((b, n, m), 1.0 / m)
     rounds = np.zeros(b, dtype=np.int64)
@@ -208,14 +214,27 @@ def _generic_fixpoint_loop(
     converged = np.zeros(b, dtype=bool)
     stalled = np.zeros(b, dtype=bool)
     active = np.ones(b, dtype=bool)
+    w_col = w[:, :, None]
+    # (1 - p_u) w_u and (1 - eta) p_u are computed for the whole tensor
+    # once per round: row u is untouched before user u's turn, so each
+    # slice equals the per-user value bit for bit.
+    own = np.empty((b, n, m))
+    kept = np.empty((b, n, m))
+    users = [
+        (p[:, u, :], own[:, u, :], kept[:, u, :], caps[:, u, :], w[:, u, None])
+        for u in range(n)
+    ]
+    lat_u = np.empty((b, m))
+    delta = np.empty((b, m))
     log2beta = 0
     for k in range(max_rounds + 1):
         # Rebuild link traffic from scratch, users in index order (the
-        # bit-parity accumulation contract), and check the residual.
-        w_link = np.zeros((b, m))
-        for i in range(n):
-            w_link = w_link + p[:, i, :] * w[:, i, None]
-        lat = ((1.0 - p) * w[:, :, None] + (t + w_link)[:, None, :]) / caps
+        # bit-parity accumulation contract: ``accumulate`` adds
+        # sequentially, where ``sum`` may pair), and check the residual.
+        w_link = np.add.accumulate(p * w_col, axis=1)[:, -1, :]
+        np.subtract(1.0, p, out=own)
+        own *= w_col
+        lat = (own + (t + w_link)[:, None, :]) / caps
         mins = lat.min(axis=-1)
         scale = np.maximum(mins, 1.0)
         excess = (lat - mins[..., None]) / scale[..., None]
@@ -232,24 +251,30 @@ def _generic_fixpoint_loop(
         active &= ~newly_stalled
         if k == max_rounds or not active.any():
             break
+        frozen = not active.all()
+        hold = ~active[:, None]
+        np.multiply(1.0 - eta, p, out=kept)
         # One round: every user in index order, each seeing the link
         # traffic already updated by earlier movers (Gauss-Seidel).
-        for u in range(n):
-            row = p[:, u, :]
-            lat_u = ((1.0 - row) * w[:, u, None] + (t + w_link)) / caps[:, u, :]
-            q = lat_u.min(axis=-1)[:, None] / lat_u
-            qb = q
+        for row, own_u, kept_u, caps_u, w_u in users:
+            np.add(t, w_link, out=lat_u)
+            lat_u += own_u
+            lat_u /= caps_u
+            q = np.divide(lat_u.min(axis=-1, keepdims=True), lat_u)
             for _ in range(log2beta):
-                qb = qb * qb
-            g = row * qb
-            s = g[:, 0]
-            for link in range(1, m):
-                s = s + g[:, link]
-            updated = (1.0 - eta) * row + eta * (g / s[:, None])
-            updated = np.where(active[:, None], updated, row)
-            w_link = w_link + (updated - row) * w[:, u, None]
-            p[:, u, :] = updated
-        rounds = np.where(active, rounds + 1, rounds)
+                q *= q
+            q *= row
+            # Links summed in index order, as the fused hook does.
+            q /= np.add.accumulate(q, axis=1)[:, -1:]
+            q *= eta
+            q += kept_u
+            if frozen:
+                np.copyto(q, row, where=hold)
+            np.subtract(q, row, out=delta)
+            delta *= w_u
+            w_link += delta
+            row[...] = q
+        rounds += active
         if log2beta < log2_beta_max:
             log2beta += 1
     return p, rounds, residuals, converged, stalled
