@@ -284,6 +284,37 @@ def _dynamics(
     return sigma, converged, steps, cycled
 
 
+@njit(cache=True)
+def _profile_residual(prof, wts, caps, trf, w_link, lat):
+    """Residual of one game's ``(n, m)`` profile, leaving its link
+    traffic in *w_link* (users in index order, as the generic loop's
+    ``np.add.accumulate``)."""
+    n, m = prof.shape
+    for link in range(m):
+        w_link[link] = 0.0
+    for i in range(n):
+        wi = wts[i]
+        for link in range(m):
+            w_link[link] = w_link[link] + prof[i, link] * wi
+    r = 0.0
+    for i in range(n):
+        wi = wts[i]
+        mn = np.inf
+        for link in range(m):
+            tw = trf[link] + w_link[link]
+            val = ((1.0 - prof[i, link]) * wi + tw) / caps[i, link]
+            lat[link] = val
+            if val < mn:
+                mn = val
+        scale = mn if mn > 1.0 else 1.0
+        for link in range(m):
+            if prof[i, link] > 1e-12:
+                excess = (lat[link] - mn) / scale
+                if excess > r:
+                    r = excess
+    return r
+
+
 @njit(cache=True, parallel=True)
 def _fixpoint(
     weights,
@@ -303,41 +334,36 @@ def _fixpoint(
     converged = np.zeros(b, dtype=np.bool_)
     stalled = np.zeros(b, dtype=np.bool_)
     for g in prange(b):
+        pg = p[g]
+        wts = weights[g]
+        caps = capacities[g]
+        trf = traffic[g]
         w_link = np.empty(m)
+        w_hot = np.empty(m)
         lat = np.empty(m)
         grow = np.empty(m)
+        hot = np.empty((n, m))
         best = np.inf
         since = 0
         log2beta = 0
         for k in range(max_rounds + 1):
-            # Rebuild link traffic, users in index order (the parity
-            # contract shared with the generic round loop).
-            for link in range(m):
-                w_link[link] = 0.0
-            for i in range(n):
-                wi = weights[g, i]
-                for link in range(m):
-                    w_link[link] = w_link[link] + p[g, i, link] * wi
-            r = 0.0
-            for i in range(n):
-                wi = weights[g, i]
-                mn = np.inf
-                for link in range(m):
-                    tw = traffic[g, link] + w_link[link]
-                    val = ((1.0 - p[g, i, link]) * wi + tw) / capacities[
-                        g, i, link
-                    ]
-                    lat[link] = val
-                    if val < mn:
-                        mn = val
-                scale = mn if mn > 1.0 else 1.0
-                for link in range(m):
-                    if p[g, i, link] > 1e-12:
-                        excess = (lat[link] - mn) / scale
-                        if excess > r:
-                            r = excess
+            r = _profile_residual(pg, wts, caps, trf, w_link, lat)
             residuals[g] = r
             if r <= tol:
+                converged[g] = True
+                break
+            # Round and certify: the argmax profile, first index on ties.
+            for i in range(n):
+                top = 0
+                for link in range(1, m):
+                    if pg[i, link] > pg[i, top]:
+                        top = link
+                for link in range(m):
+                    hot[i, link] = 1.0 if link == top else 0.0
+            r_hot = _profile_residual(hot, wts, caps, trf, w_hot, lat)
+            if r_hot <= tol:
+                pg[:, :] = hot
+                residuals[g] = r_hot
                 converged[g] = True
                 break
             if r < best * (1.0 - stall_rtol):
@@ -351,13 +377,11 @@ def _fixpoint(
             if k == max_rounds:
                 break
             for u in range(n):
-                wu = weights[g, u]
+                wu = wts[u]
                 mn = np.inf
                 for link in range(m):
-                    tw = traffic[g, link] + w_link[link]
-                    val = ((1.0 - p[g, u, link]) * wu + tw) / capacities[
-                        g, u, link
-                    ]
+                    tw = trf[link] + w_link[link]
+                    val = ((1.0 - pg[u, link]) * wu + tw) / caps[u, link]
                     lat[link] = val
                     if val < mn:
                         mn = val
@@ -366,17 +390,17 @@ def _fixpoint(
                     q = mn / lat[link]
                     for _ in range(log2beta):
                         q = q * q
-                    gl = p[g, u, link] * q
+                    gl = pg[u, link] * q
                     grow[link] = gl
                     if link == 0:
                         s = gl
                     else:
                         s = s + gl
                 for link in range(m):
-                    old = p[g, u, link]
+                    old = pg[u, link]
                     updated = (1.0 - eta) * old + eta * (grow[link] / s)
                     w_link[link] = w_link[link] + (updated - old) * wu
-                    p[g, u, link] = updated
+                    pg[u, link] = updated
             rounds[g] += 1
             if log2beta < log2_beta_max:
                 log2beta += 1

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.errors import DimensionError, ModelError
 from repro.model.game import UncertainRoutingGame
+from repro.util.validation import check_game_stack
 
 __all__ = ["GameBatch"]
 
@@ -77,9 +78,6 @@ class GameBatch:
             raise ModelError("a batch needs at least one game")
         if n < 2 or m < 2:
             raise ModelError(f"the model requires n > 1 and m > 1, got ({n}, {m})")
-        for name, arr in (("weights", w), ("capacities", caps)):
-            if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-                raise ModelError(f"{name} must be finite and strictly positive")
         if initial_traffic is None:
             t = np.zeros((b, m))
         else:
@@ -88,8 +86,7 @@ class GameBatch:
                 raise DimensionError(
                     f"initial_traffic must have shape ({b}, {m}), got {t.shape}"
                 )
-            if not np.all(np.isfinite(t)) or np.any(t < 0.0):
-                raise ModelError("initial_traffic must be finite and non-negative")
+        check_game_stack(w, caps, t)
         self._weights = w
         self._capacities = caps
         self._initial_traffic = t

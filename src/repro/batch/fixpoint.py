@@ -33,10 +33,10 @@ NumPy path *bit for bit* (the same contract as
 :func:`repro.batch.pure._scatter_loads`).
 
 Link traffic ``W^l = sum_i p_il w_i`` is maintained incrementally
-inside a round (subtract the mover's old row contribution, add the
-new), and rebuilt from scratch — users in index order — at the top of
-every round, where the convergence residual is also checked; per-round
-cost is ``O(B n m)``.
+inside a round (add the mover's change of row contribution), and
+rebuilt from scratch — users in index order — at the top of every
+round, where convergence is also checked; per-round cost is
+``O(B n m)``.
 
 Convergence, stall and certification
 ------------------------------------
@@ -54,6 +54,19 @@ nevertheless *recomputed* through the public oracle on the returned
 tensors — every profile in a :class:`BatchFixpointResult` is either
 certified within :data:`CERT_TOL` or explicitly flagged
 (``converged``/``certified`` False).
+
+A game converges one of two ways, both checked at the top of every
+round. Either the iterate's own residual is within ``tol``, or its
+*rounded* profile is: each user's argmax link (first index on ties)
+taken with probability one, its residual measured by the same
+index-order arithmetic (:func:`_residuals`, which the fused hook
+mirrors). The rounded game stops at that one-hot profile and residual.
+This is what ends most solves: the iterate settles on the right pure
+profile early, but its off-support probabilities only fall below
+``SUPPORT_ATOL`` — the residual's notion of support — after many more
+rounds of geometric decay, and the equilibria it finds are almost
+always pure (the paper's Conjecture 3.7). A game whose rounding never
+certifies iterates exactly as it would without the check.
 
 Games converge individually: a converged game freezes (its rows stop
 updating, so convergence masks are monotone in the budget and a longer
@@ -82,6 +95,7 @@ import numpy as np
 from repro.batch.backend import active_hooks
 from repro.batch.mixed import SUPPORT_ATOL, batch_is_mixed_nash
 from repro.errors import DimensionError, ModelError
+from repro.util.validation import check_game_stack
 
 __all__ = [
     "CERT_TOL",
@@ -183,7 +197,32 @@ def _validated(
             raise DimensionError(
                 f"initial_traffic must be ({b}, {m}), got {t.shape}"
             )
+    check_game_stack(w, caps, t)
     return w, caps, t
+
+
+def _residuals(
+    p: np.ndarray,
+    w_col: np.ndarray,
+    caps: np.ndarray,
+    t: np.ndarray,
+    own: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(residual (B,), link traffic (B, m))`` of the profiles *p*.
+
+    Link traffic is accumulated users in index order (``accumulate``
+    adds sequentially, where ``sum`` may pair) — the bit-parity contract
+    with the fused hook. ``(1 - p) w`` is written into *own*, which the
+    round loop reuses for every user's latency.
+    """
+    w_link = np.add.accumulate(p * w_col, axis=1)[:, -1, :]
+    np.subtract(1.0, p, out=own)
+    own *= w_col
+    lat = (own + (t + w_link)[:, None, :]) / caps
+    mins = lat.min(axis=-1, keepdims=True)
+    excess = (lat - mins) / np.maximum(mins, 1.0)
+    r = np.where(p > SUPPORT_ATOL, excess, 0.0).max(axis=(-2, -1))
+    return r, w_link
 
 
 def _generic_fixpoint_loop(
@@ -203,7 +242,7 @@ def _generic_fixpoint_loop(
     Every per-user step works on ``(B, m)`` slices, so the cost of a
     round is NumPy dispatch, not arithmetic: the loop keeps the number
     of calls per user small (in-place updates, hoisted per-round terms,
-    views taken once) without changing a single result bit.
+    views taken once).
     """
     b, n, m = caps.shape
     p = np.full((b, n, m), 1.0 / m)
@@ -215,6 +254,7 @@ def _generic_fixpoint_loop(
     stalled = np.zeros(b, dtype=bool)
     active = np.ones(b, dtype=bool)
     w_col = w[:, :, None]
+    links = np.arange(m)
     # (1 - p_u) w_u and (1 - eta) p_u are computed for the whole tensor
     # once per round: row u is untouched before user u's turn, so each
     # slice equals the per-user value bit for bit.
@@ -228,21 +268,22 @@ def _generic_fixpoint_loop(
     delta = np.empty((b, m))
     log2beta = 0
     for k in range(max_rounds + 1):
-        # Rebuild link traffic from scratch, users in index order (the
-        # bit-parity accumulation contract: ``accumulate`` adds
-        # sequentially, where ``sum`` may pair), and check the residual.
-        w_link = np.add.accumulate(p * w_col, axis=1)[:, -1, :]
-        np.subtract(1.0, p, out=own)
-        own *= w_col
-        lat = (own + (t + w_link)[:, None, :]) / caps
-        mins = lat.min(axis=-1)
-        scale = np.maximum(mins, 1.0)
-        excess = (lat - mins[..., None]) / scale[..., None]
-        r = np.where(p > SUPPORT_ATOL, excess, 0.0).max(axis=(-2, -1))
+        # Round and certify: each game's argmax profile (first index on
+        # ties). Checked before the iterate so that *own* ends up
+        # holding the iterate's (1 - p) w.
+        hot = (p.argmax(axis=-1)[..., None] == links).astype(np.float64)
+        r_hot, _ = _residuals(hot, w_col, caps, t, own)
+        r, w_link = _residuals(p, w_col, caps, t, own)
         residuals = np.where(active, r, residuals)
         newly = active & (r <= tol)
         converged |= newly
         active &= ~newly
+        rounded = active & (r_hot <= tol)
+        if rounded.any():
+            p[rounded] = hot[rounded]
+            residuals[rounded] = r_hot[rounded]
+            converged |= rounded
+            active &= ~rounded
         improved = active & (r < best * (1.0 - stall_rtol))
         best = np.where(improved, r, best)
         since = np.where(active, np.where(improved, 0, since + 1), since)

@@ -29,8 +29,10 @@ Subcommands:
   process-pool workers inherit it).
 
 Output is the same ASCII tables EXPERIMENTS.md records, plus an overall
-verdict; the process exit code is non-zero when any experiment fails,
-making the CLI usable as a reproduction gate in CI.
+verdict; the process exit code is 1 when any experiment fails, making
+the CLI usable as a reproduction gate in CI, and 2 when ``--resume``
+meets a store it cannot replay (another backend's records, or payloads
+an older version wrote) — reported as one ``error: ...`` line.
 """
 
 from __future__ import annotations
@@ -482,19 +484,25 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
     if args.resume and not args.store:
         parser.error("--resume requires --store")
+    if args.command == "run" and args.shard is not None and not args.store:
+        parser.error("--shard requires --store")
+    from repro.errors import BackendError, StoreFormatError
+
+    try:
+        return _cmd_campaign(args)
+    except (BackendError, StoreFormatError) as exc:
+        # A store this run cannot resume is a usage error, not an
+        # experiment FAIL (exit 1): one line on stderr, exit 2.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _cmd_campaign(args: argparse.Namespace) -> int:
+    """Dispatch ``run`` (whole or one shard) and ``report``."""
     if args.command == "run":
         if args.shard is not None:
-            if not args.store:
-                parser.error("--shard requires --store")
             return _cmd_run_shard(
-                args.ids,
-                args.quick,
-                args.shard,
-                jobs=args.jobs,
-                batch_size=args.batch_size,
-                seed=args.seed,
-                store=args.store,
-                resume=args.resume,
+                args.ids, args.quick, args.shard, **_runtime_options(args)
             )
         return _cmd_run(args.ids, args.quick, **_runtime_options(args))
     if args.command == "report":

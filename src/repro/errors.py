@@ -18,6 +18,7 @@ __all__ = [
     "AlgorithmDomainError",
     "BackendError",
     "StoreMergeError",
+    "StoreFormatError",
     "SolverError",
     "NoEquilibriumError",
     "NotFullyMixedError",
@@ -67,6 +68,15 @@ class StoreMergeError(ReproError, ValueError):
     canonical records differ — see ``docs/STORE_FORMAT.md`` for the
     conflict rules), when there is nothing to merge, or when the merge
     destination would be overwritten without ``force``.
+    """
+
+
+class StoreFormatError(ReproError, ValueError):
+    """A result store holds records this version no longer writes.
+
+    Raised on resume when a stored chunk payload does not have the shape
+    the experiment's kernel now returns (an older version computed it),
+    so replaying it would mix two solvers' results in one verdict.
     """
 
 

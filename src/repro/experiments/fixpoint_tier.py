@@ -11,7 +11,10 @@ verifies the two things the paper still predicts out there:
   converged game's profile must pass the mixed-Nash oracle
   (:func:`repro.batch.mixed.batch_is_mixed_nash`) at the solver's
   certification tolerance, and non-convergence must be flagged, never
-  silent;
+  silent. The solver rounds every game's profile to its argmax each
+  round and stops as soon as that pure profile certifies, so the table
+  splits the converged games into ``pure`` (one-hot) and ``mixed``
+  answers — Conjecture 3.7 predicts the pure column carries them;
 * **FMNE dominance strain (Lemma 4.9 / Thms 4.11-4.12)** — wherever
   the fully mixed closed form is interior, the solver's equilibrium
   must be dominated by it user-by-user, exactly the E9 check but at
@@ -44,6 +47,7 @@ import numpy as np
 from repro.batch.container import GameBatch
 from repro.batch.fixpoint import batch_fixpoint_mixed_nash
 from repro.batch.mixed import (
+    SUPPORT_ATOL,
     batch_fully_mixed_candidate,
     batch_min_expected_latencies,
 )
@@ -55,6 +59,9 @@ from repro.util.tables import Table
 
 __all__ = ["run_e13", "e13_specs"]
 
+#: Fields of one E13 chunk payload (see ``_solve_chunk_batch``).
+PAYLOAD_FIELDS = 8
+
 #: Relative dominance slack, matching E9's comparison against the
 #: closed form (the solver residual itself is certified far tighter).
 _DOMINANCE_RTOL = 1e-7
@@ -62,9 +69,13 @@ _DOMINANCE_RTOL = 1e-7
 
 def _solve_chunk_batch(
     batch: GameBatch,
-) -> tuple[int, int, int, int, int, float, int]:
+) -> tuple[int, int, int, int, int, float, int, int]:
     """``(games, converged, certified, dominance checked, violations,
-    worst residual, total rounds)`` for one stacked chunk."""
+    worst residual, total rounds, pure)`` for one stacked chunk.
+
+    ``pure`` counts the converged games whose every user supports one
+    link (probability above ``SUPPORT_ATOL``) — the one-hot answers.
+    """
     result = batch_fixpoint_mixed_nash(
         batch.weights, batch.capacities, batch.initial_traffic
     )
@@ -72,6 +83,9 @@ def _solve_chunk_batch(
         batch.weights, batch.capacities, batch.initial_traffic
     )
     comparable = np.flatnonzero(fm.exists & result.converged)
+    one_hot = ((result.probabilities > SUPPORT_ATOL).sum(axis=-1) == 1).all(
+        axis=-1
+    )
     violations = 0
     if comparable.size:
         lat = batch_min_expected_latencies(
@@ -93,12 +107,13 @@ def _solve_chunk_batch(
         violations,
         float(result.residuals[result.converged].max(initial=0.0)),
         int(result.rounds.sum()),
+        int(np.count_nonzero(result.converged & one_hot)),
     )
 
 
 def _examine_e13_chunk(
     chunk: ReplicationChunk,
-) -> tuple[int, int, int, int, int, float, int]:
+) -> tuple[int, int, int, int, int, float, int, int]:
     """The general heterogeneous-belief family (certification leg)."""
     return _solve_chunk_batch(
         GameBatch.from_seeds(chunk.seeds(), chunk.num_users, chunk.num_links)
@@ -107,7 +122,7 @@ def _examine_e13_chunk(
 
 def _examine_e13_uniform_chunk(
     chunk: ReplicationChunk,
-) -> tuple[int, int, int, int, int, float, int]:
+) -> tuple[int, int, int, int, int, float, int, int]:
     """The uniform-beliefs family (interior FMNE — dominance leg).
 
     Drawn *with* initial traffic: without it the equiprobable start is
@@ -140,8 +155,14 @@ def e13_specs(*, quick: bool = False) -> tuple[SweepSpec, ...]:
         cells = ((16, 4, 6), (32, 6, 4), (64, 8, 3), (100, 10, 2))
     grid = tuple(GridCell(n, m, reps) for (n, m, reps) in cells)
     return (
-        SweepSpec("E13", "E13", grid, _examine_e13_chunk),
-        SweepSpec("E13", "E13-uniform", grid, _examine_e13_uniform_chunk),
+        SweepSpec(
+            "E13", "E13", grid, _examine_e13_chunk,
+            payload_fields=PAYLOAD_FIELDS,
+        ),
+        SweepSpec(
+            "E13", "E13-uniform", grid, _examine_e13_uniform_chunk,
+            payload_fields=PAYLOAD_FIELDS,
+        ),
     )
 
 
@@ -157,9 +178,11 @@ def run_e13(
     """E13 — certified fixed-point equilibria beyond enumeration."""
     general_spec, uniform_spec = e13_specs(quick=quick)
     table = Table(
-        ["beliefs", "n", "m", "instances", "converged", "certified",
-         "dominance", "violations", "worst residual", "mean rounds"],
-        title="E13 — fixed-point solver tier (beyond enumeration)",
+        ["beliefs", "n", "m", "instances", "converged", "pure", "mixed",
+         "certified", "dominance", "violations", "worst residual",
+         "mean rounds"],
+        title="E13 — fixed-point solver tier, rounded and certified "
+              "every round (beyond enumeration)",
     )
     all_ok = True
     cells = []
@@ -170,11 +193,11 @@ def run_e13(
             spec, jobs=jobs, batch_size=batch_size, seed=seed, store=store,
             resume=resume,
         )
-        totals = [[0, 0, 0, 0, 0, 0.0, 0] for _ in spec.cells]
+        totals = [[0, 0, 0, 0, 0, 0.0, 0, 0] for _ in spec.cells]
         for cell_index, payload in zip(
             sweep.cell_of_chunk, sweep.chunk_payloads
         ):
-            games, conv, cert, checked, bad, residual, rounds = payload
+            games, conv, cert, checked, bad, residual, rounds, pure = payload
             cell = totals[cell_index]
             cell[0] += games
             cell[1] += conv
@@ -183,8 +206,9 @@ def run_e13(
             cell[4] += bad
             cell[5] = max(cell[5], residual)
             cell[6] += rounds
+            cell[7] += pure
         for grid_cell, (
-            games, conv, cert, checked, bad, residual, rounds
+            games, conv, cert, checked, bad, residual, rounds, pure
         ) in zip(spec.cells, totals):
             # Every converged profile must be oracle-certified, and no
             # certified profile may beat the fully mixed point.
@@ -202,20 +226,20 @@ def run_e13(
                     "family": family,
                     "n": grid_cell.num_users, "m": grid_cell.num_links,
                     "reps": grid_cell.replications, "games": games,
-                    "converged": conv, "certified": cert,
+                    "converged": conv, "pure": pure, "certified": cert,
                     "dominance_checked": checked, "violations": bad,
                     "worst_residual": residual,
                 }
             )
             table.add_row(
                 [family, grid_cell.num_users, grid_cell.num_links,
-                 grid_cell.replications, f"{conv}/{games}",
-                 f"{cert}/{conv}", checked, bad, f"{residual:.2e}",
+                 grid_cell.replications, f"{conv}/{games}", pure,
+                 conv - pure, f"{cert}/{conv}", checked, bad, f"{residual:.2e}",
                  round(rounds / max(games, 1))]
             )
     return ExperimentResult(
         "E13",
-        "Fixed-point solver: certified mixed equilibria past enumeration",
+        "Fixed-point solver: certified equilibria past enumeration",
         passed=all_ok,
         tables=[table],
         details={"all_ok": all_ok, "cells": cells},

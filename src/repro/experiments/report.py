@@ -51,7 +51,10 @@ PAPER_CLAIMS: dict[str, str] = {
     "E13": "Mixed equilibria exist at every width (Nash) and the fully "
            "mixed point, where interior, dominates them user-by-user "
            "(Lem. 4.9) — checked far beyond the enumeration widths of "
-           "E7-E9 via the certified fixed-point solver.",
+           "E7-E9 via the certified fixed-point solver, which rounds "
+           "each profile to its argmax every round and stops once that "
+           "pure profile certifies (the pure/mixed columns count which "
+           "kind of equilibrium each converged game returned).",
 }
 
 

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Any, Union
 
 from repro.batch.backend import active_name
-from repro.errors import BackendError
+from repro.errors import BackendError, StoreFormatError
 from repro.runtime.spec import ShardPlan, SweepSpec
 from repro.runtime.store import ResultStore, canonical_payload
 from repro.util.parallel import ReplicationChunk, iter_tasks
@@ -150,7 +150,19 @@ def run_sweep(
                         f"{backend_name!r}; rerun with --backend "
                         f"{stored_backend} or start a fresh store"
                     )
-                payloads[i] = record["payload"]
+                payload = record["payload"]
+                if spec.payload_fields is not None and (
+                    not isinstance(payload, list)
+                    or len(payload) != spec.payload_fields
+                ):
+                    raise StoreFormatError(
+                        f"cannot resume from {store.path}: chunk {key} "
+                        f"holds a payload in an older format (expected "
+                        f"{spec.payload_fields} fields); its results "
+                        f"come from a previous solver — start a fresh "
+                        f"store"
+                    )
+                payloads[i] = payload
                 done[i] = True
                 resumed += 1
 

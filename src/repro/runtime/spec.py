@@ -124,6 +124,10 @@ class SweepSpec:
     chunk_extra:
         Extra keyword arguments forwarded to *chunk_factory* for every
         chunk (e.g. the E5 generator's ``num_states``/``concentration``).
+    payload_fields:
+        Length of the list payload *kernel* returns, when it has a fixed
+        one. A resumed record of any other length was written by an
+        older kernel and is refused rather than replayed.
     """
 
     experiment: str
@@ -132,6 +136,7 @@ class SweepSpec:
     kernel: Kernel
     chunk_factory: Callable[..., ReplicationChunk] = ReplicationChunk
     chunk_extra: Mapping[str, Any] = field(default_factory=dict)
+    payload_fields: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "cells", tuple(self.cells))

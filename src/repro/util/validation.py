@@ -16,6 +16,7 @@ from repro.errors import BeliefError, DimensionError, ModelError
 
 __all__ = [
     "ATOL",
+    "check_game_stack",
     "check_positive_array",
     "check_probability_vector",
     "check_probability_matrix",
@@ -47,6 +48,25 @@ def check_positive_array(
         bad = float(arr.min())
         raise ModelError(f"{name} must be strictly positive everywhere (min={bad!r})")
     return arr
+
+
+def check_game_stack(
+    weights: np.ndarray, capacities: np.ndarray, initial_traffic: np.ndarray
+) -> None:
+    """Value checks for a shape-checked ``(B, n)`` / ``(B, n, m)`` /
+    ``(B, m)`` game stack: ``n, m >= 1``; finite, strictly positive
+    weights and capacities; finite, non-negative initial traffic.
+
+    An empty stack (``B = 0``) passes — there are no values to reject.
+    """
+    _, n, m = capacities.shape
+    if n < 1 or m < 1:
+        raise DimensionError(f"a game needs n, m >= 1, got ({n}, {m})")
+    for name, arr in (("weights", weights), ("capacities", capacities)):
+        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+            raise ModelError(f"{name} must be finite and strictly positive")
+    if not np.all(np.isfinite(initial_traffic)) or np.any(initial_traffic < 0.0):
+        raise ModelError("initial_traffic must be finite and non-negative")
 
 
 def check_probability_vector(

@@ -9,6 +9,8 @@ The contract under test is ISSUE PR 9's strong one:
   at :data:`~repro.batch.fixpoint.CERT_TOL` or explicitly flagged;
 * convergence masks are monotone in the round budget and converged
   trajectories are frozen (longer budgets replay shorter ones exactly);
+* the round-and-certify step only ever stops a game at a one-hot
+  profile that is itself an equilibrium within ``tol``;
 * results are bit-invariant to batch padding, batch order, and the
   campaign runtime's ``jobs`` / ``batch_size`` / ``resume`` knobs
   (the E13 chunking contract).
@@ -26,13 +28,15 @@ from hypothesis import strategies as st
 from repro.batch.container import GameBatch
 from repro.batch.fixpoint import (
     CERT_TOL,
+    DEFAULT_TOL,
     BatchFixpointResult,
+    _residuals,
     batch_fixpoint_mixed_nash,
 )
 from repro.batch.mixed import batch_is_mixed_nash
 from repro.batch.support import batch_enumerate_mixed_nash
 from repro.equilibria import FixpointSolution, fixpoint_mixed_nash
-from repro.errors import ConvergenceError, ModelError
+from repro.errors import ConvergenceError, DimensionError, ModelError
 from repro.experiments.registry import get_experiment_specs, run_experiment
 from repro.model.game import UncertainRoutingGame
 from repro.runtime import run_sweep
@@ -302,6 +306,116 @@ class TestProperties:
         )
 
 
+def _one_hot(probabilities: np.ndarray) -> np.ndarray:
+    """Per game: every entry is exactly 0 or 1 (rows sum to one)."""
+    return np.isin(probabilities, (0.0, 1.0)).all(axis=(-2, -1))
+
+
+class TestRoundAndCertify:
+    """Each round the solver tries the argmax profile and stops a game
+    as soon as that pure profile is an equilibrium within ``tol``."""
+
+    def test_rounding_returns_a_certified_one_hot_profile(self):
+        batch = _seeded_batch("round", 8, 4, 1)
+        result = _solve(batch)
+        assert bool(result.converged[0]) and bool(result.certified[0])
+        assert bool(_one_hot(result.probabilities)[0])
+        assert float(result.residuals[0]) <= DEFAULT_TOL
+        # The annealed iterate needed 46 rounds to shed its off-support
+        # mass; the rounded profile certifies long before.
+        assert 0 < int(result.rounds[0]) < 46
+        assert bool(
+            batch_is_mixed_nash(
+                result.probabilities,
+                batch.weights,
+                batch.capacities,
+                batch.initial_traffic,
+                tol=CERT_TOL,
+            )[0]
+        )
+
+    @given(_game_shapes())
+    @settings(max_examples=20, deadline=None)
+    def test_converged_means_annealed_to_tol_or_one_hot(self, shape):
+        n, m, count, seed = shape
+        batch = GameBatch.from_seeds(
+            [seed + i for i in range(count)], n, m, with_initial_traffic=True
+        )
+        result = _solve(batch)
+        recomputed, _ = _residuals(
+            result.probabilities,
+            batch.weights[:, :, None],
+            batch.capacities,
+            batch.initial_traffic,
+            np.empty_like(result.probabilities),
+        )
+        one_hot = _one_hot(result.probabilities)
+        for b in np.flatnonzero(result.converged):
+            # The reported residual is the returned profile's own,
+            # bit for bit, whichever way the game converged.
+            assert recomputed[b] == result.residuals[b] <= DEFAULT_TOL
+            if one_hot[b]:
+                # A rounded answer is a pure Nash equilibrium, checked
+                # here from scratch: no user gains by moving.
+                links = result.probabilities[b].argmax(axis=-1)
+                loads = batch.initial_traffic[b] + np.bincount(
+                    links, weights=batch.weights[b], minlength=m
+                )
+                for i, link in enumerate(links):
+                    moved = loads + batch.weights[b, i]
+                    moved[link] = loads[link]
+                    lat = moved / batch.capacities[b, i]
+                    best = lat.min()
+                    assert lat[link] <= best + CERT_TOL * max(best, 1.0)
+
+    def test_bench_stack_needs_at_most_half_the_annealing_rounds(self):
+        """The 48-game ``bench_fixpoint`` stack took 2,456 rounds in
+        total when games could only converge by annealing."""
+        seeds = [stable_seed("bench-fixpoint", 16, 4, rep) for rep in range(48)]
+        batch = GameBatch.from_seeds(seeds, 16, 4)
+        result = _solve(batch)
+        assert bool(result.converged.all()) and bool(result.certified.all())
+        assert int(result.rounds.sum()) <= 2456 // 2
+
+
+class TestInputValidation:
+    """Value checks shared with :class:`GameBatch` (shapes are checked
+    separately); an empty stack is still a no-op."""
+
+    @pytest.mark.parametrize(
+        ("n", "m", "field", "value", "error"),
+        [
+            (3, 0, None, None, DimensionError),
+            (0, 3, None, None, DimensionError),
+            (3, 2, "capacities", np.nan, ModelError),
+            (3, 2, "capacities", 0.0, ModelError),
+            (3, 2, "capacities", np.inf, ModelError),
+            (3, 2, "weights", np.nan, ModelError),
+            (3, 2, "weights", -1.0, ModelError),
+            (3, 2, "traffic", np.nan, ModelError),
+            (3, 2, "traffic", -0.5, ModelError),
+        ],
+    )
+    def test_bad_values_raise(self, n, m, field, value, error):
+        weights = np.ones((2, n))
+        capacities = np.ones((2, n, m))
+        traffic = np.zeros((2, m))
+        if field is not None:
+            {"weights": weights, "capacities": capacities,
+             "traffic": traffic}[field].flat[-1] = value
+        with pytest.raises(error):
+            batch_fixpoint_mixed_nash(weights, capacities, traffic)
+        if n > 1 and m > 1:
+            # The container applies the same checks.
+            with pytest.raises(error):
+                GameBatch(weights, capacities, initial_traffic=traffic)
+
+    def test_empty_stack_is_a_no_op(self):
+        result = batch_fixpoint_mixed_nash(np.ones((0, 3)), np.ones((0, 3, 2)))
+        assert result.probabilities.shape == (0, 3, 2)
+        assert result.rounds.shape == result.certified.shape == (0,)
+
+
 class TestE13Chunking:
     """The campaign-runtime invariance contract for the new tier."""
 
@@ -313,14 +427,16 @@ class TestE13Chunking:
             # Payloads may be chunked differently; per-cell aggregation
             # must agree exactly.
             def totals(sweep, cells):
-                acc = [[0, 0, 0, 0, 0, 0.0, 0] for _ in cells]
+                acc = [[0, 0, 0, 0, 0, 0.0, 0, 0] for _ in cells]
                 for index, payload in zip(
                     sweep.cell_of_chunk, sweep.chunk_payloads
                 ):
+                    assert len(payload) == 8
                     for j in range(5):
                         acc[index][j] += payload[j]
                     acc[index][5] = max(acc[index][5], payload[5])
                     acc[index][6] += payload[6]
+                    acc[index][7] += payload[7]
                 return acc
 
             assert totals(other, spec.cells) == totals(baseline, spec.cells)

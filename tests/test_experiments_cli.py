@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.experiments.base import ExperimentResult
@@ -169,3 +171,61 @@ class TestCli:
         assert store.read_bytes() == first
         out = capsys.readouterr().out
         assert out.count("PASS") >= 2
+
+
+def _rewrite_records(path, edit) -> None:
+    """Apply *edit* to every JSON record of a store file in place."""
+    lines = []
+    for line in path.read_text().splitlines():
+        record = json.loads(line)
+        edit(record)
+        lines.append(json.dumps(record))
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _resume_argv(command, experiment_id, store, tmp_path):
+    if command == "run":
+        return ["run", experiment_id, "--quick", "--store", str(store),
+                "--resume"]
+    return ["report", "-o", str(tmp_path / "out.md"), "--ids",
+            experiment_id, "--quick", "--store", str(store), "--resume"]
+
+
+class TestUnresumableStores:
+    """A store ``--resume`` cannot replay is a usage error: one
+    ``error:`` line on stderr and exit code 2 (1 means an experiment
+    FAILed), for ``run`` and ``report`` alike."""
+
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_stale_e13_payloads_are_refused(self, command, tmp_path, capsys):
+        store = tmp_path / "store.jsonl"
+        assert main(["run", "E13", "--quick", "--store", str(store)]) == 0
+        # Payloads as an older solver wrote them: no ``pure`` field.
+        _rewrite_records(
+            store, lambda record: record.__setitem__(
+                "payload", record["payload"][:7]
+            )
+        )
+        stale = store.read_bytes()
+        capsys.readouterr()
+        code = main(_resume_argv(command, "E13", store, tmp_path))
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "('E13', 'E13', 12, 4, 0, 2)" in err[0]
+        assert "start a fresh store" in err[0]
+        assert store.read_bytes() == stale  # nothing recomputed or appended
+
+    @pytest.mark.parametrize("command", ["run", "report"])
+    def test_backend_mismatch_is_refused(self, command, tmp_path, capsys):
+        store = tmp_path / "store.jsonl"
+        assert main(["run", "E7", "--quick", "--store", str(store)]) == 0
+        _rewrite_records(
+            store, lambda record: record.__setitem__("backend", "numba")
+        )
+        capsys.readouterr()
+        code = main(_resume_argv(command, "E7", store, tmp_path))
+        err = capsys.readouterr().err.strip().splitlines()
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "computed under backend 'numba'" in err[0]
