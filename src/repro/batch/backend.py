@@ -86,8 +86,8 @@ class FusedHooks(NamedTuple):
     ``fixpoint_loop(weights, capacities, traffic, tol, eta,
     log2_beta_max, max_rounds, stall_rounds, stall_rtol)``
         The mixed-equilibrium smoothed best-response round loop of
-        :func:`repro.batch.fixpoint.batch_fixpoint_mixed_nash`:
-        returns ``(probabilities, rounds, residuals, converged,
+        :func:`repro.batch.fixpoint.batch_fixpoint_mixed_nash`,
+        including its per-round rounding check: returns ``(probabilities, rounds, residuals, converged,
         stalled)`` or ``None`` to decline. Per-game trajectories must
         reproduce the generic round loop *bit for bit* at every round
         budget (the update is elementwise IEEE arithmetic plus

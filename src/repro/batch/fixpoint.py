@@ -144,10 +144,12 @@ class BatchFixpointResult:
     ----------
     probabilities:
         ``(B, n, m)`` row-stochastic profiles — the solver state at
-        termination for every game, converged or not.
+        termination for every game, converged or not; the one-hot
+        profile for a game stopped by rounding.
     residuals:
         ``(B,)`` last supported-link excess-latency residual measured
-        while the game was still active (``<= tol`` iff converged).
+        while the game was still active (``<= tol`` iff converged) — of
+        the returned profile, rounded or not.
     rounds:
         ``(B,)`` int64 — update rounds each game consumed before
         converging or being flagged.
@@ -337,8 +339,9 @@ def batch_fixpoint_mixed_nash(
     """Solve a ``(B, n, m)`` game stack for mixed Nash equilibria.
 
     Runs the annealed smoothed best-response iteration (module notes)
-    until every game converges to residual *tol*, stalls, or exhausts
-    *max_rounds*, then certifies the returned tensors through
+    until every game converges — its iterate or its rounded argmax
+    profile reaches residual *tol* — stalls, or exhausts *max_rounds*,
+    then certifies the returned tensors through
     :func:`~repro.batch.mixed.batch_is_mixed_nash` at *certify_tol*.
     Per-game failures are masks on the result, never exceptions.
 

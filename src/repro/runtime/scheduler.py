@@ -157,10 +157,9 @@ def run_sweep(
                 ):
                     raise StoreFormatError(
                         f"cannot resume from {store.path}: chunk {key} "
-                        f"holds a payload in an older format (expected "
-                        f"{spec.payload_fields} fields); its results "
-                        f"come from a previous solver — start a fresh "
-                        f"store"
+                        f"holds a payload an older version wrote "
+                        f"(expected {spec.payload_fields} fields); start "
+                        f"a fresh store"
                     )
                 payloads[i] = payload
                 done[i] = True
