@@ -1,24 +1,25 @@
 """Empirical complexity fits for the paper's algorithms (E1-E3).
 
 The paper states O(n^2) for ``Atwolinks``, O(n^2 m) for ``Asymmetric``
-and O(n(log n + m)) for ``Auniform``. This module times the
-implementations over geometric size grids and fits growth exponents by
-log-log least squares. Exponents are *upper-bounded* by the theory —
-vectorisation can make measured exponents lower (e.g. ``Atwolinks``'s
-inner tolerance pass is a NumPy kernel, so the measured curve sits
-between O(n) and O(n^2) until n is large) — so the acceptance criterion
-is "measured exponent <= stated exponent + tolerance".
+and O(n(log n + m)) for ``Auniform``. This module counts the abstract
+operations each reference implementation tallies while it builds its
+profile (see ``atwolinks_counted``, ``asymmetric_counted`` and
+``auniform_counted``) over geometric size grids, and fits growth
+exponents by log-log least squares. Counts are a pure function of the
+game, so the fit — and the verdict "the upper end of the exponent's
+two-standard-error interval is at most the stated exponent plus slack"
+— is the same on every host.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property
 from typing import Sequence
 
-from repro.equilibria.symmetric import asymmetric
-from repro.equilibria.two_links import atwolinks
-from repro.equilibria.uniform import auniform
+from repro.equilibria.symmetric import asymmetric_counted
+from repro.equilibria.two_links import atwolinks_counted
+from repro.equilibria.uniform import auniform_counted
 from repro.generators.games import (
     random_symmetric_game,
     random_two_link_game,
@@ -26,7 +27,7 @@ from repro.generators.games import (
 )
 from repro.generators.suites import scaling_sizes
 from repro.util.rng import stable_seed
-from repro.util.timing import ScalingFit, fit_power_law, time_callable
+from repro.util.timing import ScalingFit, fit_power_law
 
 __all__ = ["ScalingObservation", "measure_scaling", "THEORETICAL_EXPONENTS"]
 
@@ -40,32 +41,44 @@ THEORETICAL_EXPONENTS = {
 
 @dataclass(frozen=True)
 class ScalingObservation:
-    """Measured (size, seconds) pairs plus the fitted exponent."""
+    """Counted (size, operations) pairs; the fit needs two sizes or more."""
 
     algorithm: str
     sizes: tuple[int, ...]
-    seconds: tuple[float, ...]
-    fit: ScalingFit
+    operations: tuple[int, ...]
+
+    @cached_property
+    def fit(self) -> ScalingFit:
+        return fit_power_law(self.sizes, self.operations)
 
     @property
     def exponent(self) -> float:
         return self.fit.exponent
 
+    @property
+    def stderr(self) -> float:
+        return self.fit.stderr
+
     def within_theory(self, *, slack: float = 0.35) -> bool:
-        """Measured growth must not exceed the stated complexity class."""
-        return self.exponent <= THEORETICAL_EXPONENTS[self.algorithm] + slack
+        """The exponent plus two standard errors must not exceed the
+        stated complexity class."""
+        return (
+            self.exponent + 2.0 * self.stderr
+            <= THEORETICAL_EXPONENTS[self.algorithm] + slack
+        )
 
 
-#: Per algorithm: (generator of an ``n``-user game on ``m`` links, solver).
+#: Per algorithm: (generator of an ``n``-user game on ``m`` links,
+#: solver returning ``(profile, operations)``).
 _INSTANCES = {
     "atwolinks": (
         lambda n, m, seed: random_two_link_game(
             n, with_initial_traffic=True, seed=seed
         ),
-        atwolinks,
+        atwolinks_counted,
     ),
-    "asymmetric": (random_symmetric_game, asymmetric),
-    "auniform": (random_uniform_beliefs_game, auniform),
+    "asymmetric": (random_symmetric_game, asymmetric_counted),
+    "auniform": (random_uniform_beliefs_game, auniform_counted),
 }
 
 
@@ -74,24 +87,19 @@ def measure_scaling(
     *,
     sizes: Sequence[int] | None = None,
     num_links: int = 4,
-    repeats: int = 3,
 ) -> ScalingObservation:
-    """Time *algorithm* across *sizes* users and fit a power law.
+    """Count *algorithm*'s operations on one game per size in *sizes*.
 
-    Each size's game is generated once, outside the timed calls, so the
-    fit measures the solver alone; only one game is alive at a time.
+    Each size's game is generated once from ``stable_seed("scal",
+    algorithm, n, 0)`` and solved once; only one game is alive at a time.
     """
     sizes = list(sizes) if sizes is not None else scaling_sizes(algorithm)
     generate, solver = _INSTANCES[algorithm]
-    seconds = []
+    operations = []
     for n in sizes:
         game = generate(n, num_links, seed=stable_seed("scal", algorithm, n, 0))
-        seconds.append(time_callable(partial(solver, game), repeats=repeats))
+        operations.append(solver(game)[1])
         del game
-    fit = fit_power_law(sizes, seconds)
     return ScalingObservation(
-        algorithm=algorithm,
-        sizes=tuple(sizes),
-        seconds=tuple(seconds),
-        fit=fit,
+        algorithm=algorithm, sizes=tuple(sizes), operations=tuple(operations)
     )

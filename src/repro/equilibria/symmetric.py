@@ -14,7 +14,9 @@ algorithm inserts users one at a time:
 Total complexity O(n^2 m) (Theorem 3.5). The implementation tracks link
 occupancy counts and performs the defection chain exactly as stated: it
 repeatedly scans the just-grown link for a defector and moves it to its
-best response.
+best response. :func:`asymmetric_counted` tallies the work as it goes:
+``members x m`` per defector scan of the grown link (every member's
+latency on every link) plus one per move, the insertion included.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from repro.errors import AlgorithmDomainError, SolverError
 from repro.model.game import UncertainRoutingGame
 from repro.model.profiles import PureProfile
 
-__all__ = ["asymmetric"]
+__all__ = ["asymmetric", "asymmetric_counted"]
 
 
 def asymmetric(game: UncertainRoutingGame, *, tol: float = 1e-12) -> PureProfile:
@@ -35,6 +37,13 @@ def asymmetric(game: UncertainRoutingGame, *, tol: float = 1e-12) -> PureProfile
     all equal or when the game carries initial link traffic (the paper's
     construction and its counting argument assume an empty network).
     """
+    return asymmetric_counted(game, tol=tol)[0]
+
+
+def asymmetric_counted(
+    game: UncertainRoutingGame, *, tol: float = 1e-12
+) -> tuple[PureProfile, int]:
+    """:func:`asymmetric` plus its operation count (see the module doc)."""
     if not game.has_symmetric_users():
         raise AlgorithmDomainError("asymmetric requires all user weights equal")
     if np.any(game.initial_traffic > 0):
@@ -45,16 +54,14 @@ def asymmetric(game: UncertainRoutingGame, *, tol: float = 1e-12) -> PureProfile
     caps = game.capacities  # (n, m); weights cancel inside comparisons
     counts = np.zeros(m)
     sigma = np.full(n, -1, dtype=np.intp)
-    # Per the O(n^2) bound, each insertion round performs at most n moves;
-    # the guard below only trips on a correctness bug.
-    move_budget_total = 0
+    operations = 0
 
     for user in range(n):
         # Step 3(a)-(b): place the new user on its subjectively best link.
         link = int(np.argmin((counts + 1.0) / caps[user]))
         sigma[user] = link
         counts[link] += 1.0
-        move_budget_total += 1
+        operations += 1
 
         # Step 3(c): defection chain along the link that just grew.
         grown = link
@@ -67,6 +74,7 @@ def asymmetric(game: UncertainRoutingGame, *, tol: float = 1e-12) -> PureProfile
             # smaller latency: counts[grown]/c > (counts[l'] + 1)/c'.
             current = counts[grown] / caps[members, grown]
             alt = (counts[None, :] + 1.0) / caps[members]
+            operations += alt.size
             alt[:, grown] = np.inf  # moving "to the same link" is not a move
             best_alt = alt.min(axis=1)
             defectors = np.flatnonzero(best_alt < current * (1.0 - tol))
@@ -79,11 +87,13 @@ def asymmetric(game: UncertainRoutingGame, *, tol: float = 1e-12) -> PureProfile
             sigma[k] = new_link
             grown = new_link
             moves += 1
+            operations += 1
+            # Lemma 3.4: at most user + 1 moves per insertion round; the
+            # guard only trips on a correctness bug.
             if moves > user + 1:
                 raise SolverError(
                     "defection chain exceeded the theoretical bound of "
                     f"{user + 1} moves — numerical tolerance too loose?"
                 )
-        move_budget_total += moves
 
-    return PureProfile(sigma, m)
+    return PureProfile(sigma, m), operations

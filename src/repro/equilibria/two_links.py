@@ -17,6 +17,10 @@ to return a pure Nash equilibrium (Theorem 3.3).
 The recursion is implemented iteratively: each round recomputes the
 remaining users' tolerances against the updated initial traffic ``t`` and
 the shrunken total ``T``, which is the O(n) work of the O(n^2) bound.
+:func:`atwolinks_counted` tallies that work as it goes: one operation per
+tolerance entry evaluated (two per remaining user per round, counted per
+element although the pass is one NumPy kernel) plus one per move, so an
+``n``-user game costs exactly ``n(n + 1) + n``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from repro.errors import AlgorithmDomainError
 from repro.model.game import UncertainRoutingGame
 from repro.model.profiles import PureProfile
 
-__all__ = ["tolerances", "atwolinks"]
+__all__ = ["tolerances", "atwolinks", "atwolinks_counted"]
 
 
 def tolerances(
@@ -68,6 +72,11 @@ def atwolinks(game: UncertainRoutingGame) -> PureProfile:
     Runs in O(n^2): n rounds, each recomputing the O(n) tolerance matrix
     of the remaining users.
     """
+    return atwolinks_counted(game)[0]
+
+
+def atwolinks_counted(game: UncertainRoutingGame) -> tuple[PureProfile, int]:
+    """:func:`atwolinks` plus its operation count (see the module doc)."""
     if game.num_links != 2:
         raise AlgorithmDomainError(
             f"atwolinks requires m=2 links, game has m={game.num_links}"
@@ -78,6 +87,7 @@ def atwolinks(game: UncertainRoutingGame) -> PureProfile:
     remaining = np.arange(n)
     T = game.total_traffic
     sigma = np.empty(n, dtype=np.intp)
+    operations = 0
 
     while remaining.size > 0:
         alpha = tolerances(
@@ -92,5 +102,6 @@ def atwolinks(game: UncertainRoutingGame) -> PureProfile:
         t[link] += w[user]
         T -= w[user]
         remaining = np.delete(remaining, pick)
+        operations += alpha.size + 1  # tolerance entries, then the move
 
-    return PureProfile(sigma, 2)
+    return PureProfile(sigma, 2), operations

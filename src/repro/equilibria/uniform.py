@@ -10,10 +10,15 @@ its weight to that link's initial traffic.
 
 Theorem 3.6 proves the result is a pure Nash equilibrium and bounds the
 running time by O(n (log n + m)); the implementation sorts once and keeps
-per-link running loads.
+per-link running loads. :func:`auniform_counted` tallies that work: ``m``
+link scans per user plus a charge of ``ceil(n log2 n)`` for the stable
+sort (its comparison count up to a constant; NumPy's sort does not report
+its own), so an ``n``-user game costs exactly ``n m + ceil(n log2 n)``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -21,7 +26,7 @@ from repro.errors import AlgorithmDomainError
 from repro.model.game import UncertainRoutingGame
 from repro.model.profiles import PureProfile
 
-__all__ = ["auniform"]
+__all__ = ["auniform", "auniform_counted"]
 
 
 def auniform(game: UncertainRoutingGame) -> PureProfile:
@@ -31,6 +36,11 @@ def auniform(game: UncertainRoutingGame) -> PureProfile:
     :class:`~repro.errors.AlgorithmDomainError` when some user's effective
     capacities differ across links (the model's defining requirement).
     """
+    return auniform_counted(game)[0]
+
+
+def auniform_counted(game: UncertainRoutingGame) -> tuple[PureProfile, int]:
+    """:func:`auniform` plus its operation count (see the module doc)."""
     if not game.has_uniform_beliefs():
         raise AlgorithmDomainError(
             "auniform requires uniform user beliefs "
@@ -39,6 +49,7 @@ def auniform(game: UncertainRoutingGame) -> PureProfile:
     n, m = game.num_users, game.num_links
     w = game.weights
     order = np.argsort(-w, kind="stable")  # decreasing weights, stable ties
+    operations = math.ceil(n * math.log2(n))
     loads = game.initial_traffic.copy()
     sigma = np.empty(n, dtype=np.intp)
     for user in order:
@@ -47,4 +58,5 @@ def auniform(game: UncertainRoutingGame) -> PureProfile:
         link = int(np.argmin((w[user] + loads) / game.capacities[user, 0]))
         sigma[user] = link
         loads[link] += w[user]
-    return PureProfile(sigma, m)
+        operations += loads.size
+    return PureProfile(sigma, m), operations

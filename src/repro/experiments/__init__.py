@@ -1,4 +1,4 @@
-"""Experiment runners E1-E12: each regenerates one paper artefact
+"""Experiment runners E1-E13: each regenerates one paper artefact
 (figure/algorithm or theorem claim) and reports a pass/fail verdict."""
 
 from repro.experiments.base import ExperimentResult

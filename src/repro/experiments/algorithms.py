@@ -8,9 +8,14 @@
 
 Execution model: each correctness sweep is declared as a
 :class:`~repro.runtime.spec.SweepSpec` and executed by the shared
-campaign runtime (chunking, ``jobs`` fan-out, checkpoint/resume); the
-complexity fits of E1-E3 are timing measurements and therefore run
-outside the seeded sweep (they are re-measured, never resumed).
+campaign runtime (chunking, ``jobs`` fan-out, checkpoint/resume). In
+full mode each of E1-E3 adds a second spec (label ``E1-ops`` etc.) with
+one single-replication cell per scaling size, whose kernel counts the
+algorithm's abstract operations on that size's game
+(:func:`~repro.analysis.scaling.measure_scaling`). Counts are
+deterministic, so they are stored, resumed, sharded and merged like any
+other chunk, and the runner fits the complexity exponent on the stored
+counts.
 
 Each chunk is one whole-stack batch computation: the chunk's seeds
 become a :class:`~repro.batch.container.GameBatch` via the bit-parity
@@ -26,7 +31,11 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Union
 
-from repro.analysis.scaling import THEORETICAL_EXPONENTS, measure_scaling
+from repro.analysis.scaling import (
+    THEORETICAL_EXPONENTS,
+    ScalingObservation,
+    measure_scaling,
+)
 from repro.batch.container import GameBatch
 from repro.batch.kernels import batch_count_pure_nash, batch_pure_nash_mask
 from repro.batch.pure import (
@@ -36,7 +45,7 @@ from repro.batch.pure import (
     batch_response_cycle_census,
 )
 from repro.experiments.base import ExperimentResult
-from repro.generators.suites import GridCell
+from repro.generators.suites import GridCell, scaling_sizes
 from repro.runtime import ResultStore, SweepSpec, run_sweep
 from repro.util.parallel import ReplicationChunk
 from repro.util.tables import Table
@@ -45,13 +54,6 @@ __all__ = [
     "run_e1", "run_e2", "run_e3", "run_e4",
     "e1_specs", "e2_specs", "e3_specs", "e4_specs",
 ]
-
-
-def _correctness_table(title: str) -> Table:
-    return Table(
-        ["n", "m", "instances", "all returned NE"],
-        title=title,
-    )
 
 
 def _solved_count(batch: GameBatch, profiles) -> int:
@@ -98,11 +100,57 @@ def _examine_e4_chunk(chunk: ReplicationChunk) -> tuple[int, int]:
     return with_pne, cycles
 
 
+#: The reference algorithm whose operations each of E1-E3 counts.
+_ALGORITHMS = {"E1": "atwolinks", "E2": "asymmetric", "E3": "auniform"}
+
+
+def _operations(algorithm: str, chunk: ReplicationChunk) -> list[int]:
+    """``[operations]`` *algorithm* counts on the chunk's one scaling game."""
+    obs = measure_scaling(
+        algorithm, sizes=(chunk.num_users,), num_links=chunk.num_links
+    )
+    return [obs.operations[0]]
+
+
+def _count_e1_chunk(chunk: ReplicationChunk) -> list[int]:
+    return _operations(_ALGORITHMS["E1"], chunk)
+
+
+def _count_e2_chunk(chunk: ReplicationChunk) -> list[int]:
+    return _operations(_ALGORITHMS["E2"], chunk)
+
+
+def _count_e3_chunk(chunk: ReplicationChunk) -> list[int]:
+    return _operations(_ALGORITHMS["E3"], chunk)
+
+
+def _ops_specs(
+    experiment: str, num_links: int, kernel, quick: bool
+) -> tuple[SweepSpec, ...]:
+    """The operation-count spec (full mode only): one replication per
+    scaling size.
+
+    The kernel's game comes from the fixed scaling seeds (see
+    :func:`~repro.analysis.scaling.measure_scaling`), so the payload is
+    the same under every ``--seed``; only the key's label carries it.
+    """
+    if quick:
+        return ()
+    sizes = scaling_sizes(_ALGORITHMS[experiment])
+    cells = tuple(GridCell(n, num_links, 1) for n in sizes)
+    return (
+        SweepSpec(experiment, f"{experiment}-ops", cells, kernel, payload_fields=1),
+    )
+
+
 def e1_specs(*, quick: bool = False) -> tuple[SweepSpec, ...]:
     sizes = [2, 3, 5, 8, 13, 21] if quick else [2, 3, 5, 8, 13, 21, 34, 55, 89]
     reps = 10 if quick else 30
     cells = tuple(GridCell(n, 2, reps) for n in sizes)
-    return (SweepSpec("E1", "E1", cells, _examine_e1_chunk),)
+    return (
+        SweepSpec("E1", "E1", cells, _examine_e1_chunk),
+        *_ops_specs("E1", 2, _count_e1_chunk, quick),
+    )
 
 
 def e2_specs(*, quick: bool = False) -> tuple[SweepSpec, ...]:
@@ -111,7 +159,10 @@ def e2_specs(*, quick: bool = False) -> tuple[SweepSpec, ...]:
     ]
     reps = 10 if quick else 30
     cells = tuple(GridCell(n, m, reps) for (n, m) in pairs)
-    return (SweepSpec("E2", "E2", cells, _examine_e2_chunk),)
+    return (
+        SweepSpec("E2", "E2", cells, _examine_e2_chunk),
+        *_ops_specs("E2", 4, _count_e2_chunk, quick),
+    )
 
 
 def e3_specs(*, quick: bool = False) -> tuple[SweepSpec, ...]:
@@ -120,7 +171,10 @@ def e3_specs(*, quick: bool = False) -> tuple[SweepSpec, ...]:
     ]
     reps = 10 if quick else 30
     cells = tuple(GridCell(n, m, reps) for (n, m) in pairs)
-    return (SweepSpec("E3", "E3", cells, _examine_e3_chunk),)
+    return (
+        SweepSpec("E3", "E3", cells, _examine_e3_chunk),
+        *_ops_specs("E3", 4, _count_e3_chunk, quick),
+    )
 
 
 def e4_specs(*, quick: bool = False) -> tuple[SweepSpec, ...]:
@@ -129,14 +183,24 @@ def e4_specs(*, quick: bool = False) -> tuple[SweepSpec, ...]:
     return (SweepSpec("E4", "E4", cells, _examine_e4_chunk),)
 
 
-def _correctness_sweep(
-    spec: SweepSpec, table: Table, **runtime_options
-) -> bool:
-    """Run a correctness spec and fill its table; True when every cell
-    solved every instance."""
-    sweep = run_sweep(spec, **runtime_options)
+def _algorithm_experiment(
+    experiment_id: str,
+    specs: tuple[SweepSpec, ...],
+    name: str,
+    instances: str,
+    claim: str,
+    **runtime_options,
+) -> ExperimentResult:
+    """Run E1-E3: the correctness sweep, then (full mode) the operation
+    counts and their power-law fit against the stated exponent."""
+    table = Table(
+        ["n", "m", "instances", "all returned NE"],
+        title=f"{experiment_id} — {name} correctness ({instances})",
+    )
+    correctness, *counting = specs
+    sweep = run_sweep(correctness, **runtime_options)
     all_ok = True
-    for cell, payloads in zip(spec.cells, sweep.payloads_by_cell):
+    for cell, payloads in zip(correctness.cells, sweep.payloads_by_cell):
         ok = sum(payloads)
         reps = cell.replications
         all_ok = all_ok and ok == reps
@@ -144,22 +208,34 @@ def _correctness_sweep(
             [cell.num_users, cell.num_links, reps,
              "yes" if ok == reps else f"NO ({ok}/{reps})"]
         )
-    return all_ok
-
-
-def _scaling_tables(
-    algorithm: str, title: str, tables: list[Table], details: dict
-) -> bool:
-    obs = measure_scaling(algorithm)
-    fit_table = Table(["n", "seconds"], title=title)
-    for n, s in zip(obs.sizes, obs.seconds):
-        fit_table.add_row([n, s])
-    fit_table.add_row(["exponent", obs.exponent])
-    fit_table.add_row(["theory", THEORETICAL_EXPONENTS[algorithm]])
-    tables.append(fit_table)
-    details["exponent"] = obs.exponent
-    details["within_theory"] = obs.within_theory()
-    return obs.within_theory()
+    tables = [table]
+    details: dict = {"correctness": all_ok}
+    for spec in counting:
+        algorithm = _ALGORITHMS[experiment_id]
+        counts = run_sweep(spec, **runtime_options).chunk_payloads
+        obs = ScalingObservation(
+            algorithm,
+            tuple(cell.num_users for cell in spec.cells),
+            tuple(payload[0] for payload in counts),
+        )
+        fit_table = Table(
+            ["n", "operations"], title=f"{experiment_id} — {name} operation counts"
+        )
+        for n, count in zip(obs.sizes, obs.operations):
+            fit_table.add_row([n, count])
+        fit_table.add_row(["exponent", obs.exponent])
+        fit_table.add_row(["stderr", obs.stderr])
+        fit_table.add_row(["theory", THEORETICAL_EXPONENTS[algorithm]])
+        tables.append(fit_table)
+        details.update(
+            exponent=obs.exponent,
+            stderr=obs.stderr,
+            within_theory=obs.within_theory(),
+        )
+        all_ok = all_ok and obs.within_theory()
+    return ExperimentResult(
+        experiment_id, claim, passed=all_ok, tables=tables, details=details
+    )
 
 
 def run_e1(
@@ -172,24 +248,10 @@ def run_e1(
     resume: bool = False,
 ) -> ExperimentResult:
     """E1 — Atwolinks returns a pure NE on every sampled two-link game."""
-    (spec,) = e1_specs(quick=quick)
-    table = _correctness_table("E1 — Atwolinks correctness (with initial traffic)")
-    all_ok = _correctness_sweep(
-        spec, table, jobs=jobs, batch_size=batch_size, seed=seed, store=store,
-        resume=resume,
-    )
-    tables = [table]
-    details: dict = {"correctness": all_ok}
-    if not quick:
-        all_ok = _scaling_tables(
-            "atwolinks", "E1 — Atwolinks runtime (fit below)", tables, details
-        ) and all_ok
-    return ExperimentResult(
-        "E1",
+    return _algorithm_experiment(
+        "E1", e1_specs(quick=quick), "Atwolinks", "with initial traffic",
         "Figure 1 / Theorem 3.3 — Atwolinks computes a pure NE in O(n^2)",
-        passed=all_ok,
-        tables=tables,
-        details=details,
+        jobs=jobs, batch_size=batch_size, seed=seed, store=store, resume=resume,
     )
 
 
@@ -203,24 +265,10 @@ def run_e2(
     resume: bool = False,
 ) -> ExperimentResult:
     """E2 — Asymmetric returns a pure NE for identical-weight games."""
-    (spec,) = e2_specs(quick=quick)
-    table = _correctness_table("E2 — Asymmetric correctness (symmetric users)")
-    all_ok = _correctness_sweep(
-        spec, table, jobs=jobs, batch_size=batch_size, seed=seed, store=store,
-        resume=resume,
-    )
-    tables = [table]
-    details: dict = {"correctness": all_ok}
-    if not quick:
-        all_ok = _scaling_tables(
-            "asymmetric", "E2 — Asymmetric runtime", tables, details
-        ) and all_ok
-    return ExperimentResult(
-        "E2",
+    return _algorithm_experiment(
+        "E2", e2_specs(quick=quick), "Asymmetric", "symmetric users",
         "Figure 2 / Theorem 3.5 — Asymmetric computes a pure NE in O(n^2 m)",
-        passed=all_ok,
-        tables=tables,
-        details=details,
+        jobs=jobs, batch_size=batch_size, seed=seed, store=store, resume=resume,
     )
 
 
@@ -234,24 +282,10 @@ def run_e3(
     resume: bool = False,
 ) -> ExperimentResult:
     """E3 — Auniform returns a pure NE under uniform user beliefs."""
-    (spec,) = e3_specs(quick=quick)
-    table = _correctness_table("E3 — Auniform correctness (uniform beliefs, with t)")
-    all_ok = _correctness_sweep(
-        spec, table, jobs=jobs, batch_size=batch_size, seed=seed, store=store,
-        resume=resume,
-    )
-    tables = [table]
-    details: dict = {"correctness": all_ok}
-    if not quick:
-        all_ok = _scaling_tables(
-            "auniform", "E3 — Auniform runtime", tables, details
-        ) and all_ok
-    return ExperimentResult(
-        "E3",
+    return _algorithm_experiment(
+        "E3", e3_specs(quick=quick), "Auniform", "uniform beliefs, with t",
         "Figure 3 / Theorem 3.6 — Auniform computes a pure NE in O(n(log n + m))",
-        passed=all_ok,
-        tables=tables,
-        details=details,
+        jobs=jobs, batch_size=batch_size, seed=seed, store=store, resume=resume,
     )
 
 

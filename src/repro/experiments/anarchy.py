@@ -8,8 +8,10 @@
 
 Execution model: E10/E11 run :func:`repro.analysis.poa.poa_study`'s
 spec through the shared campaign runtime; E12's multiplicative sweep is
-its own small spec (the witness verification and the exact constraint
-search are deterministic and run outside the sweep).
+its own small spec. In full mode E12 adds a one-chunk ``E12-search``
+spec for the exact constraint search, whose node budgets make it
+deterministic, so its restart count is stored and resumed like any
+sweep's. The stored witness's verification is cheap and runs inline.
 """
 
 from __future__ import annotations
@@ -162,13 +164,31 @@ def _examine_e12_chunk(chunk: ReplicationChunk) -> int:
     return multiplicative_pne_hits(chunk.seeds(), num_links=chunk.num_links)
 
 
-def e12_specs(*, quick: bool = False) -> tuple[SweepSpec, ...]:
-    """E12's declarative sweep: the multiplicative-contrast sample.
+def _search_e12_witness(chunk: ReplicationChunk) -> list:
+    """``[restarts]`` the exact search needs to re-derive a no-PNE
+    witness, or ``[None]`` when its budget runs out. The search has its
+    own fixed seed, so the replication seed is unused."""
+    try:
+        return [search_no_pne_instance(seed=2).tries]
+    except SolverError:
+        return [None]
 
-    One ``(3, 3)`` cell — the witness's three users and three links.
+
+def e12_specs(*, quick: bool = False) -> tuple[SweepSpec, ...]:
+    """E12's declarative sweep: the multiplicative-contrast sample, plus
+    (full mode) the one-chunk witness search.
+
+    One ``(3, 3)`` cell each — the witness's three users and three links.
     """
     reps = 50 if quick else 300
-    return (SweepSpec("E12", "E12", (GridCell(3, 3, reps),), _examine_e12_chunk),)
+    sweep = SweepSpec("E12", "E12", (GridCell(3, 3, reps),), _examine_e12_chunk)
+    if quick:
+        return (sweep,)
+    search = SweepSpec(
+        "E12", "E12-search", (GridCell(3, 3, 1),), _search_e12_witness,
+        payload_fields=1,
+    )
+    return sweep, search
 
 
 def run_e12(
@@ -183,26 +203,21 @@ def run_e12(
     """E12 — Milchtaich separation: no-PNE witness vs multiplicative sweep."""
     report = canonical_counterexample()
     witness_ok = report.verify()
-    searched_tries = None
-    if not quick:
-        # Also re-derive a witness from scratch with the exact search.
-        try:
-            searched_tries = search_no_pne_instance(seed=2).tries
-        except SolverError:
-            searched_tries = "budget exhausted"  # canonical witness suffices
-    (spec,) = e12_specs(quick=quick)
-    sweep = run_sweep(
-        spec, jobs=jobs, batch_size=batch_size, seed=seed, store=store,
-        resume=resume,
+    spec, *search_spec = e12_specs(quick=quick)
+    options = dict(
+        jobs=jobs, batch_size=batch_size, seed=seed, store=store, resume=resume
     )
+    sweep = run_sweep(spec, **options)
     sweep_n = spec.cells[0].replications
     hits = sum(sweep.chunk_payloads)
     table = Table(["check", "result"], title="E12 — player-specific separation")
     table.add_row(["stored witness verified (27 profiles, none NE)", witness_ok])
-    if searched_tries is not None:
+    for search in search_spec:
+        # Also re-derive a witness from scratch with the exact search.
+        [[tries]] = run_sweep(search, **options).chunk_payloads
         table.add_row(
             ["fresh witness re-derived by constraint search (restarts)",
-             searched_tries]
+             "budget exhausted" if tries is None else tries]
         )
     table.add_row(
         [f"multiplicative instances with PNE (of {sweep_n})", hits]

@@ -18,12 +18,16 @@ its instances into one :class:`~repro.batch.container.GameBatch` and
 grades them with the batched potential kernels of
 :mod:`repro.batch.pure` (per-instance RNG streams replayed draw for
 draw, results pinned by ``tests/data/pure_seed_baseline.json``). The
-cycle realisability search is an exact, unseeded computation and runs
-outside the sweeps.
+cycle realisability search is an exact, deterministic computation; it is a
+fourth, one-chunk spec whose label carries the cycle-length bound
+(``E6-cycles4`` in quick mode, ``E6-cycles6`` in full mode), so its
+result is stored and resumed like any sweep's and a quick-mode record is
+never replayed as the full search.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Union
 
@@ -148,13 +152,51 @@ def _examine_e6_sym_chunk(chunk: ReplicationChunk) -> bool:
     )
 
 
+@dataclass(frozen=True)
+class _CycleSearchChunk(ReplicationChunk):
+    """The shared chunk shape plus the cycle search's budgets."""
+
+    max_cycle_length: int
+    weight_draws: int
+    max_cycles: int
+
+
+def _search_e6_cycles(chunk: _CycleSearchChunk) -> list:
+    """``[found, cycles_tested]`` of the exhaustive cycle search on the
+    chunk's ``(n, m)``. The search draws its weights from its own fixed
+    seed, so the replication seed is unused."""
+    search = search_improvement_cycle_instance(
+        chunk.num_users,
+        chunk.num_links,
+        max_cycle_length=chunk.max_cycle_length,
+        weight_draws=chunk.weight_draws,
+        max_cycles=chunk.max_cycles,
+    )
+    return [search.found, search.cycles_tested]
+
+
 def e6_specs(*, quick: bool = False) -> tuple[SweepSpec, ...]:
-    """E6's three sub-sweeps (distinct labels: distinct streams and keys)."""
+    """E6's three sub-sweeps (distinct labels: distinct streams and keys)
+    plus the one-chunk cycle search."""
     reps = 5 if quick else 25
+    length, draws, cycles = (4, 4, 500) if quick else (6, 12, 50_000)
     return (
         SweepSpec("E6", "E6-gap", (GridCell(3, 3, reps),), _examine_e6_gap_chunk),
         SweepSpec("E6", "E6-kp", (GridCell(4, 3, reps),), _examine_e6_kp_chunk),
         SweepSpec("E6", "E6-sym", (GridCell(4, 3, reps),), _examine_e6_sym_chunk),
+        SweepSpec(
+            "E6",
+            f"E6-cycles{length}",
+            (GridCell(3, 3, 1),),
+            _search_e6_cycles,
+            chunk_factory=_CycleSearchChunk,
+            chunk_extra={
+                "max_cycle_length": length,
+                "weight_draws": draws,
+                "max_cycles": cycles,
+            },
+            payload_fields=2,
+        ),
     )
 
 
@@ -185,7 +227,7 @@ def run_e6(
     the outcome is reported as data, not a pass/fail criterion, because
     the paper's cycle instance [19] is unpublished.
     """
-    gap_spec, kp_spec, sym_spec = e6_specs(quick=quick)
+    gap_spec, kp_spec, sym_spec, cycle_spec = e6_specs(quick=quick)
     options = dict(
         jobs=jobs, batch_size=batch_size, seed=seed, store=store, resume=resume
     )
@@ -197,11 +239,7 @@ def run_e6(
     kp_ok = all(run_sweep(kp_spec, **options).chunk_payloads)
     sym_ok = all(run_sweep(sym_spec, **options).chunk_payloads)
 
-    search = search_improvement_cycle_instance(
-        max_cycle_length=4 if quick else 6,
-        weight_draws=4 if quick else 12,
-        max_cycles=500 if quick else 50_000,
-    )
+    [[found, cycles_tested]] = run_sweep(cycle_spec, **options).chunk_payloads
 
     table = Table(["check", "result"], title="E6 — potential-function structure")
     table.add_row(
@@ -210,8 +248,8 @@ def run_e6(
     table.add_row(["weighted potential identity holds (common beliefs)", kp_ok])
     table.add_row(["ordinal potential identity holds (symmetric users)", sym_ok])
     table.add_row(
-        [f"improvement cycles realisable among {search.cycles_tested} short "
-         "cycle shapes", search.found]
+        [f"improvement cycles realisable among {cycles_tested} short "
+         "cycle shapes", found]
     )
 
     passed = max_gap > 1e-9 and kp_ok and sym_ok
@@ -224,7 +262,7 @@ def run_e6(
             "max_gap": float(max_gap),
             "weighted_potential_ok": kp_ok,
             "ordinal_potential_symmetric_ok": sym_ok,
-            "cycle_found": search.found,
-            "cycles_tested": search.cycles_tested,
+            "cycle_found": found,
+            "cycles_tested": cycles_tested,
         },
     )

@@ -1,7 +1,7 @@
 """The chunked sweep scheduler: spec in, per-cell payloads out.
 
 :func:`run_sweep` is the single execution path behind every experiment
-campaign (E1-E12). It expands a :class:`~repro.runtime.spec.SweepSpec`
+campaign (E1-E13). It expands a :class:`~repro.runtime.spec.SweepSpec`
 into replication chunks, restricts them to one shard of a
 :class:`~repro.runtime.spec.ShardPlan` when asked (``shard=``), skips
 the chunks a result store already holds (``resume=True``), fans the

@@ -4,7 +4,7 @@ A :class:`SweepSpec` captures everything the scheduler needs to execute
 one experiment campaign: the cell grid (``(n, m)`` x replications), the
 per-chunk kernel, the chunk dataclass that carries campaign-specific
 knobs to worker processes, and the seed policy. Every ``run_e1`` ...
-``run_e12`` declares one (or, for multi-part experiments, a few) of
+``run_e13`` declares one (or, for multi-part experiments, a few) of
 these instead of hand-rolling its own loop; the registry exposes them as
 inspectable metadata.
 
@@ -105,12 +105,13 @@ class SweepSpec:
     Attributes
     ----------
     experiment:
-        The experiment id the sweep belongs to (``"E1"`` ... ``"E12"``);
+        The experiment id the sweep belongs to (``"E1"`` ... ``"E13"``);
         recorded in every store line.
     label:
         Seed-derivation label. Usually equals *experiment*; multi-part
-        experiments (E6's three potential checks) use distinct labels so
-        their store keys and seed streams cannot collide.
+        experiments (E6's potential checks and cycle search, E1-E3's
+        operation counts) use distinct labels so their store keys and
+        seed streams cannot collide.
     cells:
         The ``(n, m, replications)`` grid to sweep.
     kernel:

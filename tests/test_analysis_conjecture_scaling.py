@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -11,12 +13,20 @@ from repro.analysis.conjecture import (
     CampaignResult,
     run_conjecture_campaign,
 )
-from repro.analysis.scaling import THEORETICAL_EXPONENTS, measure_scaling
+from repro.analysis.scaling import measure_scaling
 from repro.analysis.cycles import (
     _user_loops_negative,
     abstract_move_graph,
     realize_cycle,
     search_improvement_cycle_instance,
+)
+from repro.equilibria.symmetric import asymmetric_counted
+from repro.equilibria.two_links import atwolinks_counted
+from repro.equilibria.uniform import auniform_counted
+from repro.generators.games import (
+    random_symmetric_game,
+    random_two_link_game,
+    random_uniform_beliefs_game,
 )
 from repro.generators.suites import GridCell
 
@@ -158,25 +168,48 @@ class TestCampaignBatchedParity:
         assert got == ref
 
 
-class TestScaling:
-    def test_atwolinks_scaling_fit(self):
-        obs = measure_scaling("atwolinks", sizes=[16, 32, 64, 128], repeats=1)
-        assert len(obs.seconds) == 4
-        assert all(s > 0 for s in obs.seconds)
-        # Vectorisation can flatten the curve, but growth must not exceed
-        # the stated O(n^2) class materially.
-        assert obs.exponent <= THEORETICAL_EXPONENTS["atwolinks"] + 0.6
+def _lemma_3_4_bound(n: int, m: int) -> int:
+    """Asymmetric's most operations on n users and m links: insertion k
+    (k users placed) makes at most k moves (Lemma 3.4), hence at most
+    k + 1 defector scans of at most k members over m links, plus the
+    placement itself."""
+    return sum((k + 1) * k * m + k + 1 for k in range(1, n + 1))
 
-    def test_auniform_scaling_fit(self):
-        obs = measure_scaling("auniform", sizes=[128, 256, 512, 1024], repeats=1)
-        assert obs.exponent <= 2.0
+
+class TestOperationCounts:
+    """The E1-E3 fits count operations; the counts are exact."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 40])
+    def test_atwolinks_counts_tolerances_and_moves(self, n):
+        game = random_two_link_game(n, with_initial_traffic=True, seed=n)
+        _, operations = atwolinks_counted(game)
+        assert operations == n * (n + 1) + n
+
+    @pytest.mark.parametrize("n, m", [(2, 3), (5, 2), (33, 4), (64, 7)])
+    def test_auniform_counts_link_scans_and_the_sort(self, n, m):
+        game = random_uniform_beliefs_game(n, m, seed=n)
+        _, operations = auniform_counted(game)
+        assert operations == n * m + math.ceil(n * math.log2(n))
+
+    @pytest.mark.parametrize("n, m", [(2, 2), (6, 3), (30, 4), (80, 5)])
+    def test_asymmetric_count_between_nm_and_lemma_bound(self, n, m):
+        game = random_symmetric_game(n, m, seed=n)
+        _, operations = asymmetric_counted(game)
+        assert n * m <= operations <= _lemma_3_4_bound(n, m)
+
+    def test_measure_scaling_counts_and_fits(self):
+        obs = measure_scaling("atwolinks", sizes=[16, 32, 64, 128])
+        assert obs.operations == tuple(n * (n + 2) for n in obs.sizes)
+        assert obs.exponent == pytest.approx(2.0, abs=0.1)
+        assert obs.within_theory()
+        assert measure_scaling("atwolinks", sizes=[16, 32, 64, 128]) == obs
 
     def test_unknown_algorithm(self):
         with pytest.raises(KeyError):
             measure_scaling("quantum")
 
-    def test_generates_each_size_once_outside_the_timed_calls(self, monkeypatch):
-        """Repeats time the solver only; the game is generated once per size."""
+    def test_generates_each_size_once(self, monkeypatch):
+        """Each size's game is generated once and solved once."""
         from repro.analysis import scaling
 
         generate, solve = scaling._INSTANCES["auniform"]
@@ -193,10 +226,9 @@ class TestScaling:
         monkeypatch.setitem(
             scaling._INSTANCES, "auniform", (counting_generate, counting_solve)
         )
-        measure_scaling("auniform", sizes=[8, 16, 32], repeats=3)
+        measure_scaling("auniform", sizes=[8, 16, 32])
         assert generated == [8, 16, 32]
-        assert len(solved) == 9
-        assert solved[0] is solved[2] and solved[3] is solved[5]
+        assert [game.num_users for game in solved] == [8, 16, 32]
 
 
 class TestCycleMachinery:

@@ -30,7 +30,7 @@ CORRECTNESS_SPECS = {"E1": e1_specs, "E2": e2_specs, "E3": e3_specs}
 
 
 def _correctness_fingerprint(label, *, quick, **options):
-    (spec,) = CORRECTNESS_SPECS[label](quick=quick)
+    spec = CORRECTNESS_SPECS[label](quick=quick)[0]
     sweep = run_sweep(spec, **options)
     return [
         [cell.num_users, cell.num_links, cell.replications, sum(payloads)]
@@ -49,7 +49,7 @@ def _e4_fingerprint(*, quick, **options):
 
 
 def _e6_fingerprint(*, quick, **options):
-    gap_spec, kp_spec, sym_spec = e6_specs(quick=quick)
+    gap_spec, kp_spec, sym_spec = e6_specs(quick=quick)[:3]
     gaps = [
         g
         for payload in run_sweep(gap_spec, **options).chunk_payloads

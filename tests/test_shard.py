@@ -392,6 +392,30 @@ class TestShardCli:
         assert "PASS" in capsys.readouterr().out
         assert base.read_bytes() == before  # replay computed nothing new
 
+    def test_stored_searches_shard_and_merge(self, tmp_path, capsys):
+        """The full-mode E1 counts and the E6/E12 searches are chunks
+        like any other: two shards merge to the single-host digest, and
+        a replay from the merged store appends nothing."""
+        from repro.cli import main
+
+        ids = ["E1", "E6", "E12"]
+        single = tmp_path / "single.jsonl"
+        assert main(["run", *ids, "--store", str(single)]) == 0
+        base = tmp_path / "sharded.jsonl"
+        for k in (0, 1):
+            assert main(["run", *ids, "--shard", f"{k}/2", "--store", str(base)]) == 0
+        assert main(["merge", "--store", str(base)]) == 0
+        capsys.readouterr()
+        assert main(["digest", str(base)]) == 0
+        digest_merged = capsys.readouterr().out.strip()
+        assert main(["digest", str(single)]) == 0
+        assert capsys.readouterr().out.strip() == digest_merged
+
+        before = base.read_bytes()
+        assert main(["run", *ids, "--store", str(base), "--resume"]) == 0
+        assert "all experiments passed" in capsys.readouterr().out
+        assert base.read_bytes() == before
+
     def test_merge_without_shards_fails(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.util.tables import Table, format_float
-from repro.util.timing import ScalingFit, fit_power_law, time_callable
+from repro.util.timing import ScalingFit, fit_power_law
 
 
 class TestFormatFloat:
@@ -72,24 +72,6 @@ class TestTable:
         assert "empty" in text
 
 
-class TestTimeCallable:
-    def test_positive_duration(self):
-        assert time_callable(lambda: sum(range(1000))) > 0
-
-    def test_repeats_validation(self):
-        with pytest.raises(ValueError):
-            time_callable(lambda: None, repeats=0)
-
-    def test_min_estimator(self):
-        calls = []
-
-        def fn():
-            calls.append(1)
-
-        time_callable(fn, repeats=4)
-        assert len(calls) == 4
-
-
 class TestFitPowerLaw:
     def test_exact_quadratic(self):
         xs = np.array([10, 20, 40, 80], dtype=float)
@@ -105,7 +87,7 @@ class TestFitPowerLaw:
         assert fit.exponent == pytest.approx(1.0, abs=1e-9)
 
     def test_predict_roundtrip(self):
-        fit = ScalingFit(exponent=2.0, coeff=0.5, r_squared=1.0)
+        fit = ScalingFit(exponent=2.0, coeff=0.5, r_squared=1.0, stderr=0.0)
         assert fit.predict(10.0) == pytest.approx(50.0)
 
     def test_noise_reduces_r_squared(self):
@@ -115,6 +97,21 @@ class TestFitPowerLaw:
         fit = fit_power_law(xs, ts)
         assert 0.5 < fit.r_squared < 1.0
         assert fit.exponent == pytest.approx(1.5, abs=0.5)
+
+    def test_stderr_matches_hand_computation(self):
+        """log-log points (0, 0), (1, 1), (2, 3): slope 3/2, residuals
+        (1/6, -1/3, 1/6), so s^2 = (1/6) / (3 - 2) and the slope's
+        variance is s^2 / sum((x - 1)^2) = (1/6) / 2 = 1/12."""
+        fit = fit_power_law(np.exp([0.0, 1.0, 2.0]), np.exp([0.0, 1.0, 3.0]))
+        assert fit.exponent == pytest.approx(1.5, abs=1e-12)
+        assert fit.stderr == pytest.approx(math.sqrt(1.0 / 12.0), rel=1e-9)
+
+    def test_exact_fit_has_zero_stderr(self):
+        xs = np.array([10, 20, 40, 80], dtype=float)
+        assert fit_power_law(xs, 3.0 * xs**2).stderr == pytest.approx(0.0, abs=1e-6)
+
+    def test_two_points_have_no_stderr(self):
+        assert fit_power_law([1.0, 2.0], [1.0, 4.0]).stderr == math.inf
 
     def test_rejects_single_point(self):
         with pytest.raises(ValueError):
